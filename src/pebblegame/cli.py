@@ -95,10 +95,10 @@ def _build_parser() -> _Parser:
 
 
 def cmd_cost(args, limits) -> int:
-    value = dp.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
+    value, split = dp._cell(args.n, args.s, limits.cell_budget)
     print(f"F({args.n},{args.s}) = {format_cost(value)}")
     if value is not INFINITE and args.n >= 2:
-        print(f"m({args.n},{args.s}) = {dp.split_point(args.n, args.s)}")
+        print(f"m({args.n},{args.s}) = {split}")
     return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE
 
 

@@ -16,15 +16,12 @@ because an optimal play must first build a pebble to some square m, then win
 the (n-m)-square game above it with one pebble parked on m, then erase the
 first stage in reverse.
 
-Two independent evaluation routes are provided:
-
-* ``f_cost`` / ``split_point`` memoize the recursion itself, scanning every
-  split m (cheap infinite splits are skipped by a window argument, which does
-  not change the minimum).
-* ``build_table`` fills whole tables layer by layer, advancing the best split
-  by at most one per board size, so each layer costs O(nmax) comparisons.
-
-The two routes agree cell for cell; the test suite enforces this.
+One evaluation route is provided: the recursion is filled layer by layer
+(one layer per pebble budget), advancing the best split by at most one per
+board size, so each layer costs O(nmax) comparisons.  ``build_table`` returns
+whole tables; ``f_cost``, ``split_point`` and ``delta`` run one such pass up
+to the queried cell and keep no state between calls.  The test suite checks
+the layers against a plain recursion over every split.
 """
 
 from __future__ import annotations
@@ -73,154 +70,23 @@ def _validate(n: int, s: int) -> None:
         raise ValueError(f"S must be an integer >= 0, got {s!r}")
 
 
-# Memo for the direct recursion, one list per pebble budget.  _layer_f[s][n]
-# holds F(n, s) for every filled n; _layer_m[s][n] the least minimizer (0 when
-# undefined); _fin[s] the largest filled n with finite cost.  Index 0 pads.
-_layer_f: dict = {}
-_layer_m: dict = {}
-_fin: dict = {}
+def _layers(nmax: int, smax: int, cell_budget: int | None) -> tuple:
+    """F and least-split layers for S = 1..smax by the incremental-split algorithm.
 
-
-def clear_memo() -> None:
-    _layer_f.clear()
-    _layer_m.clear()
-    _fin.clear()
-
-
-def _extend_layer(s: int, upto: int) -> None:
-    f_row = _layer_f[s]
-    m_row = _layer_m[s]
-    known = len(f_row) - 1
-    if upto <= known:
-        return
-    if s == 1:
-        for n in range(known + 1, upto + 1):
-            f_row.append(1 if n == 1 else INFINITE)
-            m_row.append(0)
-        _fin[1] = max(_fin[1], 1)
-        return
-    prev = _layer_f[s - 1]
-    fin_prev = _fin[s - 1]
-    for n in range(known + 1, upto + 1):
-        if n == 1:
-            f_row.append(1)
-            m_row.append(0)
-            _fin[s] = max(_fin[s], 1)
-            continue
-        # Splits outside [n - fin_prev, fin_prev] have an infinite part and
-        # cannot win the minimum; inside, every term is evaluated.
-        lo = n - fin_prev
-        if lo < 1:
-            lo = 1
-        hi = fin_prev
-        if hi > n - 1:
-            hi = n - 1
-        best: Cost = INFINITE
-        best_m = 0
-        for m in range(lo, hi + 1):
-            a = f_row[m]
-            b = prev[n - m]
-            c = prev[m]
-            if a is INFINITE or b is INFINITE or c is INFINITE:
-                continue
-            t = a + b + c
-            if t > MAX_FINITE_COST:
-                raise CostOverflowError(
-                    f"F(n={n}, S={s}) exceeds the 64-bit cap"
-                )
-            if best is INFINITE or t < best:
-                best = t
-                best_m = m
-        f_row.append(best)
-        m_row.append(best_m)
-        if best is not INFINITE:
-            _fin[s] = n
-
-
-def _ensure(n: int, s: int, cell_budget: int | None) -> None:
-    budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    if n * s > budget:
-        raise ResourceLimitError(
-            f"memoizing up to (n={n}, S={s}) needs {n * s} cells, budget is {budget}"
-        )
-    for layer in range(1, s + 1):
-        if layer not in _layer_f:
-            _layer_f[layer] = [None]
-            _layer_m[layer] = [0]
-            _fin[layer] = 0
-        _extend_layer(layer, n)
-
-
-def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """F(n, s), memoized.  S = 0 is accepted and yields INFINITE."""
-    _validate(n, s)
-    if s == 0:
-        return INFINITE
-    # Budgets beyond n can never bind (at most n squares hold pebbles).
-    s_eff = min(s, n)
-    _ensure(n, s_eff, cell_budget)
-    return _layer_f[s_eff][n]
-
-
-def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None:
-    """Smallest split m attaining F(n, s); None when n <= 1 or F is infinite."""
-    _validate(n, s)
-    if n <= 1 or s == 0:
-        return None
-    s_eff = min(s, n)
-    _ensure(n, s_eff, cell_budget)
-    if _layer_f[s_eff][n] is INFINITE:
-        return None
-    return _layer_m[s_eff][n]
-
-
-def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """Marginal cost of one more square: F(n+1, s) - F(n, s), 0 for n <= 0."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"S must be an integer >= 1, got {s!r}")
-    if n <= 0:
-        return 0
-    nxt = f_cost(n + 1, s, cell_budget=cell_budget)
-    if nxt is INFINITE:
-        return INFINITE
-    return nxt - f_cost(n, s, cell_budget=cell_budget)
-
-
-def is_solvable(n: int, s: int) -> bool:
-    """True iff n <= 2**(s-1), without evaluating F or building 2**(s-1)."""
-    _validate(n, s)
-    if s == 0:
-        return False
-    return (n - 1).bit_length() <= s - 1
-
-
-def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:
-    """Fill complete F and split tables using the incremental-split algorithm.
-
-    Within a layer the optimal split advances by at most one per n, so only
-    the current split and its successor are compared; once a cell is infinite
-    the rest of the layer is infinite.
+    ``layers_f[s - 1][n]`` is F(n, s) and ``layers_m[s - 1][n]`` the least
+    optimal split (0 where undefined); index 0 of each layer pads.  Within a
+    layer the optimal split advances by at most one per n, so only the current
+    split and its successor are compared; once a cell is infinite the rest of
+    the layer is infinite.
     """
-    if not isinstance(nmax, int) or isinstance(nmax, bool) or nmax < 1:
-        raise ValueError(f"nmax must be an integer >= 1, got {nmax!r}")
-    if not isinstance(smax, int) or isinstance(smax, bool) or smax < 1:
-        raise ValueError(f"smax must be an integer >= 1, got {smax!r}")
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     if nmax * smax > budget:
         raise ResourceLimitError(
             f"table of {nmax * smax} cells exceeds the cell budget ({budget})"
         )
 
-    # Layer lists are indexed by n with a leading pad entry.
-    layers_f = []
-    layers_m = []
-
-    base_f = [None, 1] + [INFINITE] * (nmax - 1)
-    base_m = [0] * (nmax + 1)
-    layers_f.append(base_f)
-    layers_m.append(base_m)
+    layers_f = [[None, 1] + [INFINITE] * (nmax - 1)]
+    layers_m = [[0] * (nmax + 1)]
 
     for s in range(2, smax + 1):
         prev = layers_f[-1]
@@ -261,6 +127,58 @@ def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTa
             cur_m.append(m)
         layers_f.append(cur)
         layers_m.append(cur_m)
+    return layers_f, layers_m
+
+
+def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
+    """F(n, s) and its least split (0 where undefined) from one layer pass."""
+    _validate(n, s)
+    if s == 0:
+        return INFINITE, 0
+    # Budgets beyond n can never bind (at most n squares hold pebbles).
+    layers_f, layers_m = _layers(n, min(s, n), cell_budget)
+    return layers_f[-1][n], layers_m[-1][n]
+
+
+def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
+    """F(n, s) from one O(n * min(s, n)) layer pass.  S = 0 yields INFINITE."""
+    return _cell(n, s, cell_budget)[0]
+
+
+def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None:
+    """Smallest split m attaining F(n, s); None when n <= 1 or F is infinite."""
+    return _cell(n, s, cell_budget)[1] or None
+
+
+def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
+    """Marginal cost of one more square: F(n+1, s) - F(n, s), 0 for n <= 0."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+        raise ValueError(f"S must be an integer >= 1, got {s!r}")
+    if n <= 0:
+        return 0
+    layer = _layers(n + 1, min(s, n + 1), cell_budget)[0][-1]
+    if layer[n + 1] is INFINITE:
+        return INFINITE
+    return layer[n + 1] - layer[n]
+
+
+def is_solvable(n: int, s: int) -> bool:
+    """True iff n <= 2**(s-1), without evaluating F or building 2**(s-1)."""
+    _validate(n, s)
+    if s == 0:
+        return False
+    return (n - 1).bit_length() <= s - 1
+
+
+def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:
+    """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
+    if not isinstance(nmax, int) or isinstance(nmax, bool) or nmax < 1:
+        raise ValueError(f"nmax must be an integer >= 1, got {nmax!r}")
+    if not isinstance(smax, int) or isinstance(smax, bool) or smax < 1:
+        raise ValueError(f"smax must be an integer >= 1, got {smax!r}")
+    layers_f, layers_m = _layers(nmax, smax, cell_budget)
 
     # Transpose to (n, S) indexing with padding row/column.
     pad_f = (None,) * (smax + 1)
@@ -274,7 +192,7 @@ def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTa
 
 
 def table_delta(tables: DpTables, n: int, s: int) -> Cost:
-    """Marginal cost read from built tables instead of the memo."""
+    """Marginal cost read from built tables, without a new layer pass."""
     if not 1 <= s <= tables.smax:
         raise TableRangeError(f"S={s} outside table extents (smax={tables.smax})")
     if n <= 0:

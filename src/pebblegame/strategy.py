@@ -207,12 +207,8 @@ def verify(strategy: Strategy, budget: int) -> VerificationReport:
     )
 
 
-def _split_for(n: int, s: int, tables: dp.DpTables | None) -> int:
-    s_eff = min(s, n)
-    if tables is not None and n <= tables.nmax and s_eff <= tables.smax:
-        m = tables.m[n][s_eff]
-    else:
-        m = dp.split_point(n, s)
+def _split_for(n: int, s: int, tables: dp.DpTables) -> int:
+    m = tables.m[n][min(s, n)]
     if not m:
         raise UnsolvableError(f"no split for n={n}, S={s}")
     return m
@@ -226,12 +222,17 @@ def iter_strategy_moves(
     The play for n >= 2 with split m is: win the m-game, win the shifted
     (n-m)-game with one less pebble while a pebble rests on m, then undo the
     m-game with one less pebble by playing it backwards.  Emission is lazy so
-    very long plays never need to be materialized.
+    very long plays never need to be materialized.  Every subgame is at most
+    (n, min(s, n)), so when ``tables`` do not cover that cell one table that
+    does is built up front.
     """
     if not dp.is_solvable(n, s):
         raise UnsolvableError(
             f"n={n} is not solvable with S={s} pebbles (limit is n <= 2**(S-1))"
         )
+    s_eff = min(s, n)
+    if tables is None or n > tables.nmax or s_eff > tables.smax:
+        tables = dp.build_table(n, s_eff)
     depth_limit = s + (n - 1).bit_length() + 2
     return _emit(n, s, 0, False, tables, depth_limit)
 

@@ -1,9 +1,11 @@
 import csv
+import functools
 from pathlib import Path
 
 import pytest
 
-from pebblegame import build_table, parse_cost
+from pebblegame import INFINITE, build_table, parse_cost
+from pebblegame.cost import cost_sum
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -41,3 +43,28 @@ def reference_costs():
             for s in range(1, 21):
                 values[n, s] = parse_cost(row[s])
     return values
+
+
+@pytest.fixture(scope="session")
+def naive_reference():
+    """(F(n, S), least optimal split or 0) by the plain recursion over every split.
+
+    Every split 1 <= m < n is scanned, with no window and no incremental-split
+    argument, so it shares nothing with the package's layer pass and serves as
+    the independent route that pass is checked against.
+    """
+
+    @functools.cache
+    def solve(n, s):
+        if s == 0 or (n >= 2 and s == 1):
+            return INFINITE, 0
+        if n == 1:
+            return 1, 0
+        best, best_m = INFINITE, 0
+        for m in range(1, n):
+            candidate = cost_sum(solve(m, s)[0], solve(n - m, s - 1)[0], solve(m, s - 1)[0])
+            if candidate < best:
+                best, best_m = candidate, m
+        return best, best_m
+
+    return solve

@@ -2,6 +2,9 @@
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pebblegame import (
     INFINITE,
     ResourceLimitError,
@@ -12,6 +15,7 @@ from pebblegame import (
     f_cost,
     is_solvable,
     split_point,
+    synthesize,
     table_delta,
 )
 from pebblegame.cost import cost_sum
@@ -42,11 +46,13 @@ def test_reference_anchors(tables_100_20):
     assert tables_100_20.f[100][20] == 359
 
 
-def test_reference_anchors_via_memo():
-    # Same anchors through the direct-recursion route.
-    assert f_cost(51, 7) == 321
-    assert f_cost(65, 7) is INFINITE
-    assert f_cost(100, 20) == 359
+def test_reference_anchors_via_memo(naive_reference):
+    # Same anchors through the naive recursion over every split.
+    assert naive_reference(51, 7)[0] == 321
+    assert naive_reference(64, 7)[0] == 531
+    assert naive_reference(65, 7)[0] is INFINITE
+    assert naive_reference(100, 8)[0] == 833
+    assert naive_reference(100, 20)[0] == 359
 
 
 def test_input_validation():
@@ -160,13 +166,13 @@ def test_build_table_structural_invariants(tables_100_20):
             assert t.m[n + 1][s] - t.m[n][s] in (0, 1), (n, s)
 
 
-def test_build_table_agrees_with_direct_recursion():
-    tables = build_table(64, 10)
-    for n in range(1, 65):
-        for s in range(1, 11):
-            assert tables.f[n][s] == f_cost(n, s), (n, s)
-            expected_split = split_point(n, s)
-            assert tables.split(n, s) == expected_split, (n, s)
+def test_build_table_agrees_with_direct_recursion(naive_reference):
+    tables = build_table(128, 12)
+    for n in range(1, 129):
+        for s in range(1, 13):
+            cost, split = naive_reference(n, s)
+            assert tables.f[n][s] == cost, (n, s)
+            assert tables.m[n][s] == split, (n, s)
 
 
 def test_cost_monotonicity_small_range():
@@ -230,3 +236,39 @@ def test_tables_range_checks():
         tables.cost(6, 2)
     with pytest.raises(TableRangeError):
         tables.split(2, 4)
+
+
+def _check_queries(n, s, expected_cost, expected_split, expected_next):
+    """Every query route at (n, s) against the expected F(n, s), split and F(n+1, s)."""
+    assert f_cost(n, s) == expected_cost, (n, s)
+    assert split_point(n, s) == (expected_split or None), (n, s)
+    expected_delta = (
+        INFINITE if expected_next is INFINITE else expected_next - expected_cost
+    )
+    assert delta(n, s) == expected_delta, (n, s)
+    tables = build_table(n, s)
+    assert tables.f[n][s] == expected_cost, (n, s)
+    assert tables.m[n][s] == expected_split, (n, s)
+    if expected_cost is not INFINITE:
+        assert len(synthesize(n, s).moves) == expected_cost, (n, s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.integers(1, 70))
+def test_query_routes_agree_with_naive_reference(naive_reference, n, s):
+    cost, split = naive_reference(n, s)
+    _check_queries(n, s, cost, split, naive_reference(n + 1, s)[0])
+
+
+# Boards up to 2**S, so about half the draws are solvable.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 16).flatmap(
+        lambda s: st.tuples(st.integers(1, min(2047, 2**s)), st.just(s))
+    )
+)
+def test_query_routes_agree_with_large_table(tables_2048_16, case):
+    n, s = case
+    t = tables_2048_16
+    s_eff = min(s, n)
+    _check_queries(n, s, t.f[n][s_eff], t.m[n][s_eff], t.f[n + 1][min(s, n + 1)])

@@ -10,6 +10,7 @@ from pebblegame import (
     UnsolvableError,
     bfs_min_time,
     build_table,
+    dp,
     f_cost,
     is_solvable,
     iter_strategy_moves,
@@ -104,6 +105,26 @@ def test_tables_route_matches_memo_route():
     tables = build_table(32, 8)
     for n, s in [(2, 2), (7, 4), (16, 5), (32, 6), (20, 8)]:
         assert synthesize(n, s, tables=tables).moves == synthesize(n, s).moves, (n, s)
+
+
+@pytest.mark.parametrize("n, s", [(2, 2), (5, 4), (16, 5), (33, 7), (100, 20)])
+def test_strategy_tables_fallback(n, s):
+    # No tables and undersized tables both fall back to one full table.
+    expected = list(iter_strategy_moves(n, s, tables=build_table(n, min(s, n))))
+    assert list(iter_strategy_moves(n, s)) == expected
+    assert list(iter_strategy_moves(n, s, tables=build_table(n // 2, s))) == expected
+
+
+def test_synthesize_builds_one_table(monkeypatch):
+    built = []
+
+    def counting_build_table(nmax, smax, **kwargs):
+        built.append((nmax, smax))
+        return build_table(nmax, smax, **kwargs)
+
+    monkeypatch.setattr(dp, "build_table", counting_build_table)
+    assert synthesize(100, 8).step_count == 833
+    assert built == [(100, 8)]
 
 
 def test_optimality_small_sweep():
