@@ -8,6 +8,7 @@ stderr, and identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -123,8 +124,9 @@ def cmd_table(args, limits) -> int:
     return EXIT_OK
 
 
-def _summary_line(steps: int, peak: int, valid: bool) -> str:
-    return f"T={steps} peak={peak} valid={'true' if valid else 'false'}"
+def _summary_line(report: strategy.VerificationReport) -> str:
+    valid = "true" if report.valid else "false"
+    return f"T={report.step_count} peak={report.peak_pebbles} valid={valid}"
 
 
 def cmd_strategy(args, limits) -> int:
@@ -147,8 +149,7 @@ def cmd_strategy(args, limits) -> int:
         play = strategy.synthesize(n, s, tables=tables, max_moves=limits.materialization_cap)
         sys.stdout.write(strategy.to_intervals(play).to_text())
         if args.verify:
-            report = strategy.verify(play, s)
-            print(_summary_line(report.step_count, report.peak_pebbles, report.valid))
+            print(_summary_line(strategy.verify(play, s)))
         return EXIT_OK
     checker = strategy.ReplayChecker(n, budget=s) if args.verify else None
     out = sys.stdout
@@ -157,24 +158,24 @@ def cmd_strategy(args, limits) -> int:
         if checker is not None:
             checker.feed(move)
     if checker is not None:
-        checker.finish(expected=frozenset({n}))
-        valid = checker.first_violation is None and checker.peak <= s
-        print(_summary_line(checker.steps, checker.peak, valid))
+        print(_summary_line(checker.finish(expected=frozenset({n}))))
     return EXIT_OK
 
 
 def cmd_verify(args, limits) -> int:
-    if args.file is None or args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read moves file {args.file!r}: {exc}") from exc
-    play = strategy.Strategy(args.n, strategy.parse_moves(text))
-    report = strategy.verify(play, args.s)
-    print(_summary_line(report.step_count, report.peak_pebbles, report.valid))
+    on_stdin = args.file in (None, "-")
+    try:
+        source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
+        with source as stream:
+            checker = strategy.ReplayChecker(args.n, budget=args.s)
+            for move in strategy._iter_moves(stream):
+                checker.feed(move)
+    except OSError as exc:
+        if on_stdin:
+            raise
+        raise ValueError(f"cannot read moves file {args.file!r}: {exc}") from exc
+    report = checker.finish(expected=frozenset({args.n}))
+    print(_summary_line(report))
     if report.first_violation is not None:
         step, rule = report.first_violation
         print(f"first violation: step {step} ({rule})", file=sys.stderr)

@@ -26,7 +26,9 @@ the layers against a plain recursion over every split.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import config
 from .cost import INFINITE, MAX_FINITE_COST, Cost
@@ -70,14 +72,14 @@ def _validate(n: int, s: int) -> None:
         raise ValueError(f"S must be an integer >= 0, got {s!r}")
 
 
-def _layers(nmax: int, smax: int, cell_budget: int | None) -> tuple:
-    """F and least-split layers for S = 1..smax by the incremental-split algorithm.
+def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[tuple]:
+    """Yield the (F, least split) layers for S = 1..smax, each as it is filled.
 
-    ``layers_f[s - 1][n]`` is F(n, s) and ``layers_m[s - 1][n]`` the least
-    optimal split (0 where undefined); index 0 of each layer pads.  Within a
-    layer the optimal split advances by at most one per n, so only the current
-    split and its successor are compared; once a cell is infinite the rest of
-    the layer is infinite.
+    In the layer for S, ``f[n]`` is F(n, S) and ``m[n]`` the least optimal
+    split (0 where undefined); index 0 pads.  Within a layer the optimal
+    split advances by at most one per n, so only the current split and its
+    successor are compared; once a cell is infinite the rest of the layer is
+    infinite.  A consumer that keeps only the last layer holds two at a time.
     """
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     if nmax * smax > budget:
@@ -85,11 +87,10 @@ def _layers(nmax: int, smax: int, cell_budget: int | None) -> tuple:
             f"table of {nmax * smax} cells exceeds the cell budget ({budget})"
         )
 
-    layers_f = [[None, 1] + [INFINITE] * (nmax - 1)]
-    layers_m = [[0] * (nmax + 1)]
+    prev = [None, 1] + [INFINITE] * (nmax - 1)
+    yield prev, [0] * (nmax + 1)
 
     for s in range(2, smax + 1):
-        prev = layers_f[-1]
         cur = [None, 1]
         cur_m = [0, 0]
         if nmax >= 2:
@@ -125,9 +126,8 @@ def _layers(nmax: int, smax: int, cell_budget: int | None) -> tuple:
                 break
             cur.append(t)
             cur_m.append(m)
-        layers_f.append(cur)
-        layers_m.append(cur_m)
-    return layers_f, layers_m
+        yield cur, cur_m
+        prev = cur
 
 
 def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
@@ -136,8 +136,8 @@ def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
     if s == 0:
         return INFINITE, 0
     # Budgets beyond n can never bind (at most n squares hold pebbles).
-    layers_f, layers_m = _layers(n, min(s, n), cell_budget)
-    return layers_f[-1][n], layers_m[-1][n]
+    layer_f, layer_m = collections.deque(_layers(n, min(s, n), cell_budget), maxlen=1)[0]
+    return layer_f[n], layer_m[n]
 
 
 def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
@@ -158,7 +158,7 @@ def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
         raise ValueError(f"S must be an integer >= 1, got {s!r}")
     if n <= 0:
         return 0
-    layer = _layers(n + 1, min(s, n + 1), cell_budget)[0][-1]
+    layer = collections.deque(_layers(n + 1, min(s, n + 1), cell_budget), maxlen=1)[0][0]
     if layer[n + 1] is INFINITE:
         return INFINITE
     return layer[n + 1] - layer[n]
@@ -178,7 +178,7 @@ def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTa
         raise ValueError(f"nmax must be an integer >= 1, got {nmax!r}")
     if not isinstance(smax, int) or isinstance(smax, bool) or smax < 1:
         raise ValueError(f"smax must be an integer >= 1, got {smax!r}")
-    layers_f, layers_m = _layers(nmax, smax, cell_budget)
+    layers_f, layers_m = zip(*_layers(nmax, smax, cell_budget))
 
     # Transpose to (n, S) indexing with padding row/column.
     pad_f = (None,) * (smax + 1)

@@ -1,21 +1,22 @@
 """Move sequences: synthesis of optimal plays, replay verification, intervals.
 
 A move is ``+i`` (place a pebble on square i) or ``-i`` (remove one).  The
-text wire format is one move per line, newline terminated.  Replays always
-apply the game rule that square i may change only when i == 1 or square i-1
-is occupied.
+text wire format is one move per line, newline terminated.  One replay core,
+``ReplayChecker``, applies moves to a board under the game rule that square i
+may change only when i == 1 or square i-1 is occupied; the verification
+report, the peak, the residence intervals and their nesting are by-products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import config, dp
 from .errors import ResourceLimitError, UnsolvableError
 
 # Rule identifiers used in verification reports.
-RULE_INITIAL = "initial"
 RULE_FINAL = "final"
 RULE_ADD = "add"
 RULE_REMOVE = "remove"
@@ -57,9 +58,23 @@ def parse_moves(text: str) -> tuple:
     return tuple(parse_move(line) for line in text.splitlines() if line.strip())
 
 
+def _iter_moves(stream, size: int = 1 << 16) -> Iterator[Move]:
+    """Parse moves from a text stream in O(size) memory, calling only ``read(size)``.
+
+    Lines are those of ``str.splitlines``, as in ``parse_moves``: the last line
+    of each chunk is carried into the next, to join a line or ``\\r\\n`` cut in two.
+    """
+    carry = ""
+    while chunk := stream.read(size):
+        *lines, carry = (carry + chunk).splitlines(keepends=True)
+        yield from (parse_move(line) for line in lines if line.strip())
+    if carry.strip():
+        yield parse_move(carry)
+
+
 @dataclass(frozen=True)
 class Strategy:
-    """A move sequence on an n-square board, with replay-derived metadata.
+    """A move sequence on an n-square board.
 
     Construction checks square bounds only; legality of the sequence is the
     verifier's job, so arbitrary (even broken) sequences can be carried.
@@ -67,27 +82,27 @@ class Strategy:
 
     n: int
     moves: tuple
-    peak_pebbles: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"board size must be >= 1, got {self.n}")
-        moves = tuple(self.moves)
-        object.__setattr__(self, "moves", moves)
-        occupied = set()
-        peak = 0
-        for move in moves:
+        object.__setattr__(self, "moves", tuple(self.moves))
+        for move in self.moves:
             if not 1 <= move.square <= self.n:
                 raise ValueError(
                     f"move {move} references a square outside the {self.n}-square board"
                 )
-            if move.place:
-                occupied.add(move.square)
-            else:
-                occupied.discard(move.square)
-            if len(occupied) > peak:
-                peak = len(occupied)
-        object.__setattr__(self, "peak_pebbles", peak)
+
+    @functools.cached_property
+    def peak_pebbles(self) -> int:
+        """Most pebbles held at once, by a ``ReplayChecker`` on first access.
+
+        On an illegal sequence, the peak up to the first structural violation.
+        """
+        checker = ReplayChecker(self.n)
+        for move in self.moves:
+            checker.feed(move)
+        return checker.peak
 
     @property
     def step_count(self) -> int:
@@ -118,6 +133,8 @@ class ReplayChecker:
     """
 
     def __init__(self, n: int, budget: int | None = None, initial: Iterable[int] = ()):
+        if n < 1:
+            raise ValueError(f"board size must be >= 1, got {n}")
         self.n = n
         self.budget = budget
         self.board = set(initial)
@@ -130,22 +147,25 @@ class ReplayChecker:
         self.halted = False
         self.nesting: list = []
 
-    def feed(self, move: Move) -> None:
-        self.steps += 1
-        if self.halted:
-            return
-        step = self.steps
+    def feed(self, move: Move) -> Optional[tuple]:
+        """Apply one move; return the closed interval (start, end) of a remove, else None.
+
+        A square outside the board raises ValueError, even after a halt.
+        """
         i = move.square
         if not 1 <= i <= self.n:
-            raise ValueError(f"move {move} outside the {self.n}-square board")
-        enabled = i == 1 or (i - 1) in self.board
+            raise ValueError(
+                f"move {move} references a square outside the {self.n}-square board"
+            )
+        self.steps += 1
+        if self.halted:
+            return None
+        step = self.steps
+        if move.place == (i in self.board):
+            return self._halt(step, RULE_OCCUPANCY)
+        if i != 1 and (i - 1) not in self.board:
+            return self._halt(step, RULE_ADD if move.place else RULE_REMOVE)
         if move.place:
-            if i in self.board:
-                self._halt(step, RULE_OCCUPANCY)
-                return
-            if not enabled:
-                self._halt(step, RULE_ADD)
-                return
             self.board.add(i)
             self._open_start[i] = step
             if len(self.board) > self.peak:
@@ -156,35 +176,39 @@ class ReplayChecker:
                 and self.first_violation is None
             ):
                 self.first_violation = (step, RULE_BUDGET)
-        else:
-            if i not in self.board:
-                self._halt(step, RULE_OCCUPANCY)
-                return
-            if not enabled:
-                self._halt(step, RULE_REMOVE)
-                return
-            start = self._open_start.pop(i)
-            self.board.discard(i)
-            above = i + 1
-            if above in self.board and self._open_start[above] <= start:
-                self.nesting.append((i, (start, step - 1)))
+            return None
+        start = self._open_start.pop(i)
+        self.board.discard(i)
+        interval = (start, step - 1)
+        above = i + 1
+        if above in self.board and self._open_start[above] <= start:
+            self.nesting.append((i, interval))
+        return interval
 
     def _halt(self, step: int, rule: str) -> None:
         self.halted = True
         if self.first_violation is None:
             self.first_violation = (step, rule)
 
-    def finish(self, expected: frozenset | None) -> None:
-        """Apply end-of-sequence checks: final configuration, open-interval nesting."""
-        if self.halted:
-            return
-        for i in sorted(self.board):
-            above = i + 1
-            if above in self.board and self._open_start[above] <= self._open_start[i]:
-                self.nesting.append((i, (self._open_start[i], None)))
-        if expected is not None and self.board != set(expected):
-            if self.first_violation is None:
-                self.first_violation = (self.steps, RULE_FINAL)
+    def finish(self, expected: frozenset | None) -> VerificationReport:
+        """Check the final board (unless ``expected`` is None) and open-interval
+        nesting, and return the report of the whole replay."""
+        if not self.halted:
+            for i in sorted(self.board):
+                above = i + 1
+                if above in self.board and self._open_start[above] <= self._open_start[i]:
+                    self.nesting.append((i, (self._open_start[i], None)))
+            if expected is not None and self.board != set(expected):
+                if self.first_violation is None:
+                    self.first_violation = (self.steps, RULE_FINAL)
+        return VerificationReport(
+            valid=self.first_violation is None
+            and (self.budget is None or self.peak <= self.budget),
+            step_count=self.steps,
+            peak_pebbles=self.peak,
+            first_violation=self.first_violation,
+            nesting_violations=tuple(self.nesting),
+        )
 
 
 def verify(strategy: Strategy, budget: int) -> VerificationReport:
@@ -197,14 +221,7 @@ def verify(strategy: Strategy, budget: int) -> VerificationReport:
     checker = ReplayChecker(strategy.n, budget=budget)
     for move in strategy.moves:
         checker.feed(move)
-    checker.finish(expected=frozenset({strategy.n}))
-    return VerificationReport(
-        valid=checker.first_violation is None and checker.peak <= budget,
-        step_count=strategy.step_count,
-        peak_pebbles=checker.peak,
-        first_violation=checker.first_violation,
-        nesting_violations=tuple(checker.nesting),
-    )
+    return checker.finish(expected=frozenset({strategy.n}))
 
 
 def _split_for(n: int, s: int, tables: dp.DpTables) -> int:
@@ -306,19 +323,6 @@ class IntervalView:
                     break
         return frozenset(result)
 
-    def nesting_violations(self) -> tuple:
-        """All intervals of square i contained in an interval of square i+1."""
-        found = []
-        for i in range(1, self.n):
-            for start, end in self.squares[i - 1]:
-                for outer_start, outer_end in self.squares[i]:
-                    if outer_start <= start and (
-                        outer_end is None or (end is not None and end <= outer_end)
-                    ):
-                        found.append((i, (start, end)))
-                        break
-        return tuple(found)
-
     def to_text(self) -> str:
         lines = []
         for index, intervals in enumerate(self.squares, 1):
@@ -331,25 +335,20 @@ class IntervalView:
 
 
 def to_intervals(strategy: Strategy) -> IntervalView:
-    """Convert a move sequence to its residence intervals.
+    """Residence intervals of a move sequence, as closed and left open by a replay.
 
-    Requires occupancy consistency (no double place, no remove from empty);
-    enabling-rule violations do not prevent the conversion.
+    A structural violation (double place, remove from empty, disabled move)
+    raises ValueError naming its step and rule.
     """
-    open_start = {}
-    intervals: list = [[] for _ in range(strategy.n)]
-    for step, move in enumerate(strategy.moves, 1):
-        i = move.square
-        if move.place:
-            if i in open_start:
-                raise ValueError(f"step {step}: square {i} is already occupied")
-            open_start[i] = step
-        else:
-            if i not in open_start:
-                raise ValueError(f"step {step}: square {i} is not occupied")
-            intervals[i - 1].append((open_start.pop(i), step - 1))
-    for i, start in open_start.items():
-        intervals[i - 1].append((start, None))
-    for row in intervals:
-        row.sort(key=lambda pair: pair[0])
-    return IntervalView(strategy.n, tuple(tuple(row) for row in intervals))
+    checker = ReplayChecker(strategy.n)
+    rows: list = [[] for _ in range(strategy.n)]
+    for move in strategy.moves:
+        interval = checker.feed(move)
+        if interval is not None:
+            rows[move.square - 1].append(interval)
+        elif checker.halted:
+            step, rule = checker.first_violation
+            raise ValueError(f"step {step}: move {move} breaks the {rule} rule")
+    for i, start in checker._open_start.items():
+        rows[i - 1].append((start, None))
+    return IntervalView(strategy.n, tuple(tuple(row) for row in rows))

@@ -68,3 +68,27 @@ def naive_reference():
         return best, best_m
 
     return solve
+
+
+@pytest.fixture(scope="session")
+def pairwise_nesting():
+    """Intervals of square i contained in an interval of square i+1, found pairwise.
+
+    Every interval of square i is compared with every interval of square i+1
+    of an ``IntervalView``, in O(k**2) per square.  It shares nothing with the
+    online detection in ``ReplayChecker`` and serves as its reference.
+    """
+
+    def nesting(view):
+        found = []
+        for i in range(1, view.n):
+            for start, end in view.squares[i - 1]:
+                for outer_start, outer_end in view.squares[i]:
+                    if outer_start <= start and (
+                        outer_end is None or (end is not None and end <= outer_end)
+                    ):
+                        found.append((i, (start, end)))
+                        break
+        return tuple(found)
+
+    return nesting

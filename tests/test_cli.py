@@ -1,10 +1,11 @@
 """End-to-end CLI tests: output bytes, exit codes, and config handling."""
 
+import io
 from pathlib import Path
 
 import pytest
 
-from pebblegame import INFINITE, build_table, f_cost, parse_cost
+from pebblegame import INFINITE, build_table, f_cost, format_moves, iter_strategy_moves, parse_cost
 from pebblegame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -159,12 +160,48 @@ def test_verify_missing_file(capsys):
 
 
 def test_verify_reads_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("+1\n"))
     code, out, _ = run(capsys, "verify", "1", "1")
     assert code == 0
     assert out == "T=1 peak=1 valid=true\n"
+
+
+class _ChunkOnlyStdin:
+    """A stdin that allows only ``read(size)``, like the benchmark's tracing proxy."""
+
+    def __init__(self, text):
+        self._buffer = io.StringIO(text)
+
+    def read(self, size=-1):
+        assert size is not None and size >= 0, "verify read its whole input at once"
+        return self._buffer.read(size)
+
+    def __iter__(self):
+        raise AssertionError("verify iterated over stdin")
+
+
+def test_verify_streams_stdin_in_chunks(capsys, monkeypatch):
+    moves = format_moves(iter_strategy_moves(1024, 11))
+    assert len(moves) > 2 * 2**16  # several reads at the parser's chunk size
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(moves))
+    code, out, err = run(capsys, "verify", "1024", "11")
+    assert (code, err) == (0, "")
+    assert out == f"T={f_cost(1024, 11)} peak=11 valid=true\n"
+
+
+def test_verify_out_of_board_after_a_halt(capsys, monkeypatch):
+    # "+2" halts the replay (add rule); "+9" is still rejected as input.
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin("+2\n+9\n"))
+    code, out, err = run(capsys, "verify", "2", "2")
+    assert (code, out) == (64, "")
+    assert err == "error: move +9 references a square outside the 2-square board\n"
+
+
+def test_verify_empty_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(""))
+    code, out, err = run(capsys, "verify", "3", "2")
+    assert (code, out) == (2, "T=0 peak=0 valid=false\n")
+    assert err == "first violation: step 0 (final)\n"
 
 
 def test_oracle_agreement(capsys):

@@ -1,4 +1,6 @@
-"""Synthesis, replay verification, reversal, and interval-view tests."""
+"""Synthesis, replay verification, reversal, interval-view and parser tests."""
+
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from pebblegame import (
 )
 from pebblegame.strategy import (
     Move,
+    _iter_moves,
     ReplayChecker,
     Strategy,
     format_moves,
@@ -217,6 +220,13 @@ def test_interval_view_rejects_inconsistency():
         to_intervals(play("-1\n", 1))
 
 
+def test_interval_view_rejects_enabling_rule_violations():
+    with pytest.raises(ValueError, match=r"^step 1: move \+2 breaks the add rule$"):
+        to_intervals(play("+2\n", 2))
+    with pytest.raises(ValueError, match=r"^step 4: move -2 breaks the remove rule$"):
+        to_intervals(play("+1\n+2\n-1\n-2\n", 2))
+
+
 def test_interval_round_trip_reconstruction():
     for n, s in [(4, 3), (8, 4), (6, 4)]:
         strat = synthesize(n, s)
@@ -230,7 +240,7 @@ def test_interval_round_trip_reconstruction():
             assert view.occupied_after(step) == frozenset(occupied), (n, s, step)
 
 
-def test_interval_nesting_matches_online_detection():
+def test_interval_nesting_matches_online_detection(pairwise_nesting):
     samples = [
         "+1\n+2\n-1\n+1\n-1\n",
         "+1\n+2\n-1\n+1\n",
@@ -239,18 +249,47 @@ def test_interval_nesting_matches_online_detection():
     ]
     for text in samples:
         strat = play(text, 3)
-        view_pairs = to_intervals(strat).nesting_violations()
         report = verify(strat, 3)
-        assert tuple(view_pairs) == report.nesting_violations, text
+        assert pairwise_nesting(to_intervals(strat)) == report.nesting_violations, text
 
 
-def test_synthesized_views_have_no_nesting():
+def test_synthesized_views_have_no_nesting(pairwise_nesting):
     for n in range(1, 33):
         for s in range(1, 7):
             if not is_solvable(n, s):
                 continue
-            view = to_intervals(synthesize(n, s))
-            assert view.nesting_violations() == (), (n, s)
+            assert pairwise_nesting(to_intervals(synthesize(n, s))) == (), (n, s)
+
+
+@st.composite
+def legal_plays(draw):
+    """A legal play on at most 6 squares: each move toggles an enabled square."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    board = set()
+    moves = []
+    for pick in draw(st.lists(st.integers(min_value=0, max_value=5), max_size=40)):
+        enabled = [i for i in range(1, n + 1) if i == 1 or i - 1 in board]
+        square = enabled[pick % len(enabled)]
+        moves.append(Move(square not in board, square))
+        board.symmetric_difference_update({square})
+    return Strategy(n, tuple(moves))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(legal_plays())
+def test_replay_by_products_agree_on_legal_plays(pairwise_nesting, strat):
+    report = verify(strat, strat.n)
+    view = to_intervals(strat)
+    # The checker lists nestings as intervals close, the reference by square.
+    assert sorted(report.nesting_violations) == sorted(pairwise_nesting(view))
+    board = set()
+    peak = 0
+    assert view.occupied_after(0) == frozenset()
+    for step, move in enumerate(strat.moves, 1):
+        board.symmetric_difference_update({move.square})
+        peak = max(peak, len(board))
+        assert view.occupied_after(step) == frozenset(board), step
+    assert strat.peak_pebbles == report.peak_pebbles == peak
 
 
 def test_empty_interval_line():
@@ -284,3 +323,25 @@ def test_reverse_is_an_involution(moves):
 @given(move_lists)
 def test_move_text_round_trip(moves):
     assert parse_moves(format_moves(moves)) == tuple(moves)
+
+
+# -- the chunked parser against parse_moves ------------------------------------
+
+text_pieces = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0c", " ", "   ", "\n\n", "+1", "-2", "+13", "+0", "-0",
+     "+01", "-007", "+" + "9" * 40, "-" + "1" * 40, "zz", "+", "1", "+-1"]
+)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(text_pieces, max_size=30).map("".join), st.integers(min_value=1, max_value=7))
+def test_chunked_parser_matches_parse_moves(text, size):
+    expected = _outcome(lambda: parse_moves(text))
+    assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text), size))) == expected
