@@ -7,12 +7,13 @@ All logarithms are base 2.  Binomial work uses exact integer arithmetic
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import config, dp
 from .cost import INFINITE, MAX_FINITE_COST
-from .errors import CostOverflowError, TableRangeError, UnsolvableError
+from .errors import CostOverflowError, ResourceLimitError, TableRangeError, UnsolvableError
 
 
 class BeyondTable:
@@ -169,56 +170,59 @@ def f_gamma_report(s: int, tables: dp.DpTables, gammas) -> list:
     return rows
 
 
+def _certify(n: int, row) -> TsRecord | None:
+    """Exact minimum of F(n, S) * S with its smallest minimizer, from the row F(n, S),
+    S = 1, 2, ...; None if the row ends first.  The scan from the least solvable S
+    stops once F reaches its floor 2n - 1 (more pebbles cannot shrink it, so the
+    product only grows) or the floor alone prices every later S above the best.
+    """
+    floor_f = 2 * n - 1
+    best = (MAX_FINITE_COST + 1, 0, 0)  # (product, S, F); every checked product is less
+    for s, value in itertools.islice(enumerate(row, 1), (n - 1).bit_length(), None):
+        if value is INFINITE:
+            raise TableRangeError(f"F({n}, {s}) is infinite; solvability bound violated")
+        best = min(best, (_checked(value * s, f"F({n},{s}) * {s}"), s, value))
+        if value == floor_f or floor_f * (s + 1) >= best[0]:
+            product, best_s, best_f = best
+            ratio = math.log2(product / n) / (2.0 * math.sqrt(math.log2(n))) if n > 1 else math.nan
+            return TsRecord(n=n, best_s=best_s, best_f=best_f, product=product, ratio=ratio)
+    return None
+
+
 def min_ts(n: int, tables: dp.DpTables) -> TsRecord:
     """Exact minimum of F(n, S) * S over S, with the smallest minimizer.
 
-    The scan starts at the least solvable budget and stops once it can prove
-    no larger budget helps: either F has reached its floor of 2n - 1 (more
-    pebbles cannot shrink it, so the product only grows), or the floor alone
-    already prices every later candidate above the best found.
+    Row n of ``tables`` is read up to the budget that certifies the minimum;
+    TableRangeError when the table ends first.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if n > tables.nmax:
         raise TableRangeError(f"min_ts needs row n={n}; table stops at nmax={tables.nmax}")
-    floor_f = 2 * n - 1
-    s_start = (n - 1).bit_length() + 1
-    best_product = None
-    best_s = 0
-    best_f = 0
-    certified = False
-    for s in range(s_start, tables.smax + 1):
-        value = tables.f[n][s]
-        if value is INFINITE:
-            raise TableRangeError(f"F({n}, {s}) is infinite; solvability bound violated")
-        product = _checked(value * s, f"F({n},{s}) * {s}")
-        if best_product is None or product < best_product:
-            best_product = product
-            best_s = s
-            best_f = value
-        if value == floor_f or floor_f * (s + 1) >= best_product:
-            certified = True
-            break
-    if not certified and tables.smax < n:
+    record = _certify(n, tables.f[n][1:])
+    if record is None:
         raise TableRangeError(
             f"min_ts({n}) needs budgets beyond smax={tables.smax} to certify the minimum"
         )
-    if n == 1:
-        ratio = float("nan")
-    else:
-        ratio = math.log2(best_product / n) / (2.0 * math.sqrt(math.log2(n)))
-    return TsRecord(n=n, best_s=best_s, best_f=best_f, product=best_product, ratio=ratio)
+    return record
 
 
 def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
-    """Build tables just large enough for an exact min_ts(n)."""
+    """Exact min_ts(n) from one layer pass, stopped at the certifying budget, in O(n) memory.
+
+    The cell budget bounds n * (the certifying S).  ResourceLimitError comes before any
+    layer is filled when the budget cannot reach the least solvable S, else when it runs out.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    smax = min(n, max((n - 1).bit_length() + 9, 16))
-    while True:
-        tables = dp.build_table(n, smax, cell_budget=budget)
-        try:
-            return min_ts(n, tables)
-        except TableRangeError:
-            if smax >= n:
-                raise
-            smax = min(n, smax * 2)
+    s_start = (n - 1).bit_length() + 1
+    smax = min(n, budget // n)
+    layers = dp._layers(n, smax, budget) if smax >= s_start else ()
+    record = _certify(n, (f[n] for f, _ in layers))
+    if record is None:
+        raise ResourceLimitError(
+            f"tsmin({n}) needs at least {n * max(smax + 1, s_start)} cells to certify "
+            f"its minimum; the cell budget is {budget}"
+        )
+    return record

@@ -139,6 +139,8 @@ def cmd_strategy(args, limits) -> int:
         return EXIT_UNSOLVABLE
     s_eff = min(s, n)
     tables = dp.build_table(n, s_eff, cell_budget=limits.cell_budget)
+    checker = strategy.ReplayChecker(n, budget=s)
+    moves = strategy.iter_strategy_moves(n, s, tables=tables)
     if args.emit == "intervals":
         total = tables.f[n][s_eff]
         if total > limits.materialization_cap:
@@ -146,18 +148,14 @@ def cmd_strategy(args, limits) -> int:
                 f"interval view needs {total} moves materialized; cap is "
                 f"{limits.materialization_cap} (the moves format streams instead)"
             )
-        play = strategy.synthesize(n, s, tables=tables, max_moves=limits.materialization_cap)
-        sys.stdout.write(strategy.to_intervals(play).to_text())
-        if args.verify:
-            print(_summary_line(strategy.verify(play, s)))
-        return EXIT_OK
-    checker = strategy.ReplayChecker(n, budget=s) if args.verify else None
-    out = sys.stdout
-    for move in strategy.iter_strategy_moves(n, s, tables=tables):
-        out.write(f"{move}\n")
-        if checker is not None:
-            checker.feed(move)
-    if checker is not None:
+        sys.stdout.write(strategy._replay_intervals(checker, moves).to_text())
+    else:
+        out = sys.stdout
+        for move in moves:
+            out.write(f"{move}\n")
+            if args.verify:
+                checker.feed(move)
+    if args.verify:
         print(_summary_line(checker.finish(expected=frozenset({n}))))
     return EXIT_OK
 

@@ -27,6 +27,7 @@ the layers against a plain recursion over every split.
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -179,16 +180,11 @@ def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTa
     if not isinstance(smax, int) or isinstance(smax, bool) or smax < 1:
         raise ValueError(f"smax must be an integer >= 1, got {smax!r}")
     layers_f, layers_m = zip(*_layers(nmax, smax, cell_budget))
-
-    # Transpose to (n, S) indexing with padding row/column.
-    pad_f = (None,) * (smax + 1)
-    pad_m = (0,) * (smax + 1)
-    rows_f = [pad_f]
-    rows_m = [pad_m]
-    for n in range(1, nmax + 1):
-        rows_f.append((None,) + tuple(layers_f[s - 1][n] for s in range(1, smax + 1)))
-        rows_m.append((0,) + tuple(layers_m[s - 1][n] for s in range(1, smax + 1)))
-    return DpTables(nmax=nmax, smax=smax, f=tuple(rows_f), m=tuple(rows_m))
+    # Transpose to (n, S) rows.  Index 0 of every layer is padding, so row 0
+    # comes out as padding; the leading repeat adds the padding column 0.
+    f = tuple(zip(itertools.repeat(None), *layers_f))
+    m = tuple(zip(itertools.repeat(0), *layers_m))
+    return DpTables(nmax=nmax, smax=smax, f=f, m=m)
 
 
 def table_delta(tables: DpTables, n: int, s: int) -> Cost:

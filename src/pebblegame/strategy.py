@@ -335,14 +335,15 @@ class IntervalView:
 
 
 def to_intervals(strategy: Strategy) -> IntervalView:
-    """Residence intervals of a move sequence, as closed and left open by a replay.
+    """Residence intervals of a move sequence, as closed and left open by a replay;
+    a structural violation raises ValueError naming its step and rule."""
+    return _replay_intervals(ReplayChecker(strategy.n), strategy.moves)
 
-    A structural violation (double place, remove from empty, disabled move)
-    raises ValueError naming its step and rule.
-    """
-    checker = ReplayChecker(strategy.n)
-    rows: list = [[] for _ in range(strategy.n)]
-    for move in strategy.moves:
+
+def _replay_intervals(checker: ReplayChecker, moves: Iterable[Move]) -> IntervalView:
+    """``to_intervals`` of ``moves`` by ``checker``, whose ``finish`` then gives the report."""
+    rows: list = [[] for _ in range(checker.n)]
+    for move in moves:
         interval = checker.feed(move)
         if interval is not None:
             rows[move.square - 1].append(interval)
@@ -351,4 +352,4 @@ def to_intervals(strategy: Strategy) -> IntervalView:
             raise ValueError(f"step {step}: move {move} breaks the {rule} rule")
     for i, start in checker._open_start.items():
         rows[i - 1].append((start, None))
-    return IntervalView(strategy.n, tuple(tuple(row) for row in rows))
+    return IntervalView(checker.n, tuple(tuple(row) for row in rows))

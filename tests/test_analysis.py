@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebblegame import (
     BEYOND_TABLE,
     INFINITE,
+    ResourceLimitError,
     TableRangeError,
     UnsolvableError,
     build_table,
@@ -23,7 +26,26 @@ from pebblegame import (
     x_threshold,
     x_upper,
 )
+from pebblegame import dp
 from pebblegame.analysis import BeyondTable
+
+
+@pytest.fixture(scope="module")
+def tables_300_300():
+    return build_table(300, 300)
+
+
+def certifying_budget(tables, n):
+    """The least S >= the least solvable budget at which min_ts may stop: F(n, S)
+    is 2n - 1, or (2n - 1)(S + 1) is at least the best product found so far."""
+    floor_f = 2 * n - 1
+    best = None
+    for s in range((n - 1).bit_length() + 1, tables.smax + 1):
+        value = tables.f[n][s]
+        best = value * s if best is None else min(best, value * s)
+        if value == floor_f or floor_f * (s + 1) >= best:
+            return s
+    raise AssertionError(f"table of smax={tables.smax} certifies nothing for n={n}")
 
 
 def test_beyond_table_marker():
@@ -225,11 +247,67 @@ def test_min_ts_needs_enough_budgets(tables_100_20):
     assert min_ts(100, full).product == record.product
 
 
+def test_min_ts_auto_matches_full_tables(tables_300_300):
+    # Row n of the 300 x 300 table is row n of build_table(n, n), whose S = n certifies.
+    for n in range(1, 201):
+        record, full = min_ts_auto(n), min_ts(n, tables_300_300)
+        assert record == full or (n == 1 and record.product == full.product == 1), n
+        start = (n - 1).bit_length() + 1
+        best = min((tables_300_300.f[n][s] * s, s) for s in range(start, n + 1))
+        assert (record.product, record.best_s) == best, n
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_min_ts_auto_budget_bounds_the_certifying_cells(tables_300_300, data):
+    n = data.draw(st.integers(1, 300), label="n")
+    needed = n * certifying_budget(tables_300_300, n)
+    budget = data.draw(
+        st.one_of(st.integers(0, n * n + n), st.sampled_from([needed - 1, needed])),
+        label="budget",
+    )
+    if needed <= budget:
+        record, full = min_ts_auto(n, cell_budget=budget), min_ts(n, tables_300_300)
+        assert (record.best_s, record.best_f, record.product) == (
+            full.best_s, full.best_f, full.product
+        )
+    else:
+        with pytest.raises(ResourceLimitError, match=f"the cell budget is {budget}$"):
+            min_ts_auto(n, cell_budget=budget)
+
+
+def test_min_ts_auto_runs_one_pass_to_the_certificate(monkeypatch):
+    n = 4096
+    full = build_table(n, 128)
+    s_cert = certifying_budget(full, n)
+    passes, drawn = [], []
+    real_layers = dp._layers
+
+    def counting_layers(nmax, smax, cell_budget):
+        passes.append((nmax, smax))
+        for layer in real_layers(nmax, smax, cell_budget):
+            drawn.append(1)
+            yield layer
+
+    monkeypatch.setattr(dp, "_layers", counting_layers)
+    assert min_ts_auto(n) == min_ts(n, full)
+    assert len(passes) == 1
+    assert len(drawn) == s_cert
+    drawn.clear()
+    least = (n - 1).bit_length() + 1
+    with pytest.raises(ResourceLimitError, match=f"needs at least {n * least} cells"):
+        min_ts_auto(n, cell_budget=n * least - 1)
+    assert len(passes) == 1 and drawn == []
+
+
 def test_min_ts_validation(tables_100_20):
     with pytest.raises(ValueError):
         min_ts(0, tables_100_20)
     with pytest.raises(TableRangeError):
         min_ts(101, tables_100_20)
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            min_ts_auto(bad)
 
 
 def test_threshold_scan_matches_memo_delta(tables_100_20):

@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from pebblegame import INFINITE, build_table, f_cost, format_moves, iter_strategy_moves, parse_cost
+from pebblegame import (
+    INFINITE,
+    build_table,
+    f_cost,
+    format_moves,
+    iter_strategy_moves,
+    parse_cost,
+    synthesize,
+    to_intervals,
+    verify,
+)
 from pebblegame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -106,6 +116,21 @@ def test_strategy_intervals_with_verification(capsys):
     assert len(lines) == 5  # four squares, then the summary
     assert all(lines[i].startswith(f"s{i + 1}:") for i in range(4))
     assert lines[-1] == "T=9 peak=3 valid=true"
+
+
+def test_strategy_intervals_match_the_library_route(capsys):
+    # The CLI replays the streamed play once; the library materializes and replays twice.
+    for n in range(1, 25):
+        for s in range((n - 1).bit_length() + 1, 7):
+            play = synthesize(n, s)
+            report = verify(play, s)
+            expected = to_intervals(play).to_text() + (
+                f"T={report.step_count} peak={report.peak_pebbles} valid=true\n"
+            )
+            assert report.valid
+            assert run(capsys, "strategy", str(n), str(s), "--emit", "intervals", "--verify") == (
+                0, expected, ""
+            ), (n, s)
 
 
 def test_strategy_unsolvable(capsys):
@@ -277,6 +302,26 @@ def test_tsmin_trivial(capsys):
     code, out, _ = run(capsys, "tsmin", "1")
     assert code == 0
     assert out == "S=1 F=1 TS=1\n"
+
+
+def test_tsmin_budget_bounds_the_certifying_cells(capsys):
+    # S=21 certifies the minimum: 64 x 21 = 1344 cells (tables doubled from S=16 need 64 x 32).
+    assert run(capsys, "tsmin", "64", "--cell-budget", "2000") == (
+        0, "S=11 F=249 TS=2739 ratio=1.1062\n", ""
+    )
+
+
+def test_tsmin_over_budget_fails_fast(capsys):
+    code, out, err = run(capsys, "tsmin", "2000", "--cell-budget", "20000")
+    assert (code, out) == (65, "")
+    assert "needs at least 24000 cells" in err  # 2000 squares x the least solvable S=12
+    assert "the cell budget is 20000" in err
+
+
+def test_tsmin_usage(capsys):
+    code, out, err = run(capsys, "tsmin", "0")
+    assert (code, out) == (64, "")
+    assert "n must be an integer >= 1" in err
 
 
 def test_fgamma_report(capsys):

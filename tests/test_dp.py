@@ -18,6 +18,7 @@ from pebblegame import (
     synthesize,
     table_delta,
 )
+from pebblegame import dp
 from pebblegame.cost import cost_sum
 
 
@@ -145,6 +146,19 @@ def test_build_table_single_cell():
     assert tables.m[1][1] == 0
     assert tables.cost(1, 1) == 1
     assert tables.split(1, 1) is None
+
+
+@pytest.mark.parametrize("nmax, smax", [(1, 1), (1, 5), (3, 70), (300, 12), (5000, 3)])
+def test_build_table_shape_and_padding(nmax, smax):
+    tables = build_table(nmax, smax)
+    for rows, pad in ((tables.f, None), (tables.m, 0)):
+        assert type(rows) is tuple and len(rows) == nmax + 1
+        assert all(type(row) is tuple and len(row) == smax + 1 for row in rows)
+        assert rows[0] == (pad,) * (smax + 1)
+        assert all(row[0] is pad for row in rows)
+    for s, (layer_f, layer_m) in enumerate(dp._layers(nmax, smax, None), 1):
+        assert [row[s] for row in tables.f[1:]] == layer_f[1:], s
+        assert [row[s] for row in tables.m[1:]] == layer_m[1:], s
 
 
 def test_build_table_structural_invariants(tables_100_20):
