@@ -41,10 +41,8 @@ def _checked(value: int, what: str) -> int:
 
 
 def _validate_ks(k: int, s: int, min_s: int = 2) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < min_s:
-        raise ValueError(f"S must be an integer >= {min_s}, got {s!r}")
+    dp._check_int("k", k, 0)
+    dp._check_int("S", s, min_s)
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,7 @@ def entropy(gamma: float) -> float:
 
 def f_gamma(gamma: float, s: int, tables: dp.DpTables) -> float:
     """Normalized log-cost (1/s) * log2 F(floor(2**(gamma*s)), s)."""
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"S must be an integer >= 1, got {s!r}")
+    dp._check_int("S", s, 1)
     n = math.floor(2 ** (gamma * s))
     if n < 1:
         raise ValueError(f"gamma={gamma} gives an empty board (floor 2**(gamma*S) = {n})")
@@ -195,8 +192,7 @@ def min_ts(n: int, tables: dp.DpTables) -> TsRecord:
     Row n of ``tables`` is read up to the budget that certifies the minimum;
     TableRangeError when the table ends first.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    dp._check_int("n", n, 1)
     if n > tables.nmax:
         raise TableRangeError(f"min_ts needs row n={n}; table stops at nmax={tables.nmax}")
     record = _certify(n, tables.f[n][1:])
@@ -213,8 +209,7 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     The cell budget bounds n * (the certifying S).  ResourceLimitError comes before any
     layer is filled when the budget cannot reach the least solvable S, else when it runs out.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    dp._check_int("n", n, 1)
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     s_start = (n - 1).bit_length() + 1
     smax = min(n, budget // n)

@@ -103,6 +103,12 @@ def cmd_cost(args, limits) -> int:
     return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE
 
 
+def _aligned(rows: list) -> str:
+    """Rows of cells as text lines, each column right-justified to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(" ".join(map(str.rjust, row, widths)) + "\n" for row in rows)
+
+
 def _render_table(tables: dp.DpTables, fmt: str) -> str:
     header = ["n"] + [f"S={s}" for s in range(1, tables.smax + 1)]
     rows = [header]
@@ -112,10 +118,7 @@ def _render_table(tables: dp.DpTables, fmt: str) -> str:
         return "".join(",".join(row) + "\n" for row in rows)
     if fmt == "tsv":
         return "".join("\t".join(row) + "\n" for row in rows)
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    return "".join(
-        " ".join(cell.rjust(width) for cell, width in zip(row, widths)) + "\n" for row in rows
-    )
+    return _aligned(rows)
 
 
 def cmd_table(args, limits) -> int:
@@ -228,9 +231,7 @@ def cmd_bounds(args, limits) -> int:
                 "ok" if f_upper >= upper_sum else "FAIL",
             ]
         )
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    for row in rows:
-        print(" ".join(cell.rjust(width) for cell, width in zip(row, widths)))
+    sys.stdout.write(_aligned(rows))
     return EXIT_OK
 
 

@@ -66,11 +66,17 @@ class DpTables:
             )
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """ValueError unless ``value`` is an int, not a bool, and at least ``least`` if given."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def _validate(n: int, s: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-        raise ValueError(f"S must be an integer >= 0, got {s!r}")
+    _check_int("n", n, 1)
+    _check_int("S", s, 0)
 
 
 def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[tuple]:
@@ -153,10 +159,8 @@ def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None
 
 def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
     """Marginal cost of one more square: F(n+1, s) - F(n, s), 0 for n <= 0."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"S must be an integer >= 1, got {s!r}")
+    _check_int("n", n)
+    _check_int("S", s, 1)
     if n <= 0:
         return 0
     layer = collections.deque(_layers(n + 1, min(s, n + 1), cell_budget), maxlen=1)[0][0]
@@ -175,10 +179,8 @@ def is_solvable(n: int, s: int) -> bool:
 
 def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:
     """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
-    if not isinstance(nmax, int) or isinstance(nmax, bool) or nmax < 1:
-        raise ValueError(f"nmax must be an integer >= 1, got {nmax!r}")
-    if not isinstance(smax, int) or isinstance(smax, bool) or smax < 1:
-        raise ValueError(f"smax must be an integer >= 1, got {smax!r}")
+    _check_int("nmax", nmax, 1)
+    _check_int("smax", smax, 1)
     layers_f, layers_m = zip(*_layers(nmax, smax, cell_budget))
     # Transpose to (n, S) rows.  Index 0 of every layer is padding, so row 0
     # comes out as padding; the leading repeat adds the padding column 0.

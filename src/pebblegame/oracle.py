@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import dp
 from .cost import INFINITE, Cost
 from .errors import ResourceLimitError
 from .strategy import Move, Strategy
@@ -18,10 +19,7 @@ MAX_ORACLE_SQUARES = 20
 
 
 def _validate(n: int, s: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-        raise ValueError(f"S must be an integer >= 0, got {s!r}")
+    dp._validate(n, s)
     if n > MAX_ORACLE_SQUARES:
         raise ResourceLimitError(
             f"oracle search is capped at n <= {MAX_ORACLE_SQUARES} (state space 2**n); got n={n}"

@@ -1,15 +1,18 @@
 """Move sequences: synthesis of optimal plays, replay verification, intervals.
 
 A move is ``+i`` (place a pebble on square i) or ``-i`` (remove one).  The
-text wire format is one move per line, newline terminated.  One replay core,
-``ReplayChecker``, applies moves to a board under the game rule that square i
-may change only when i == 1 or square i-1 is occupied; the verification
-report, the peak, the residence intervals and their nesting are by-products.
+text wire format is one move per line, newline terminated.  Optimal plays are
+emitted by one loop over a stack of subgames; a subgame played backwards is
+its parts in reverse order, each backwards.  One replay core, ``ReplayChecker``,
+applies moves to a board under the game rule that square i may change only
+when i == 1 or square i-1 is occupied; the verification report, the peak, the
+residence intervals and their nesting are by-products.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -224,13 +227,6 @@ def verify(strategy: Strategy, budget: int) -> VerificationReport:
     return checker.finish(expected=frozenset({strategy.n}))
 
 
-def _split_for(n: int, s: int, tables: dp.DpTables) -> int:
-    m = tables.m[n][min(s, n)]
-    if not m:
-        raise UnsolvableError(f"no split for n={n}, S={s}")
-    return m
-
-
 def iter_strategy_moves(
     n: int, s: int, *, tables: dp.DpTables | None = None
 ) -> Iterator[Move]:
@@ -238,10 +234,11 @@ def iter_strategy_moves(
 
     The play for n >= 2 with split m is: win the m-game, win the shifted
     (n-m)-game with one less pebble while a pebble rests on m, then undo the
-    m-game with one less pebble by playing it backwards.  Emission is lazy so
-    very long plays never need to be materialized.  Every subgame is at most
-    (n, min(s, n)), so when ``tables`` do not cover that cell one table that
-    does is built up front.
+    m-game with one less pebble by playing it backwards: the same three parts
+    in reverse order, each backwards.  Emission is lazy and iterative, so very
+    long plays are never materialized and have no depth limit.  Every subgame
+    is at most (n, min(s, n)), so when ``tables`` do not cover that cell one
+    table that does is built up front.
     """
     if not dp.is_solvable(n, s):
         raise UnsolvableError(
@@ -250,25 +247,28 @@ def iter_strategy_moves(
     s_eff = min(s, n)
     if tables is None or n > tables.nmax or s_eff > tables.smax:
         tables = dp.build_table(n, s_eff)
-    depth_limit = s + (n - 1).bit_length() + 2
-    return _emit(n, s, 0, False, tables, depth_limit)
+    return _emit(n, s, tables.m)
 
 
-def _emit(n, s, offset, flipped, tables, fuel) -> Iterator[Move]:
-    if fuel <= 0:
-        raise RuntimeError("split recursion deeper than its proven bound; this is a bug")
-    if n == 1:
-        yield Move(not flipped, offset + 1)
-        return
-    m = _split_for(n, s, tables)
-    if not flipped:
-        yield from _emit(m, s, offset, False, tables, fuel - 1)
-        yield from _emit(n - m, s - 1, offset + m, False, tables, fuel - 1)
-        yield from _emit(m, s - 1, offset, True, tables, fuel - 1)
-    else:
-        yield from _emit(m, s - 1, offset, False, tables, fuel - 1)
-        yield from _emit(n - m, s - 1, offset + m, True, tables, fuel - 1)
-        yield from _emit(m, s, offset, True, tables, fuel - 1)
+def _emit(n: int, s: int, splits: tuple) -> Iterator[Move]:
+    """The play from a stack of (n, S, offset, backwards) subgames.  Parts are pushed
+    reversed for a forward play (first part on top), as they are for a backwards one;
+    the checked 1 <= m < n makes every part smaller, so the loop ends."""
+    stack = [(n, s, 0, False)]
+    while stack:
+        n, s, offset, backwards = stack.pop()
+        if n == 1:
+            yield Move(not backwards, offset + 1)
+            continue
+        m = splits[n][min(s, n)]
+        if not 1 <= m < n:
+            raise UnsolvableError(f"no split for n={n}, S={s}")
+        parts = (
+            (m, s, offset, backwards),
+            (n - m, s - 1, offset + m, backwards),
+            (m, s - 1, offset, not backwards),
+        )
+        stack.extend(parts if backwards else reversed(parts))
 
 
 def synthesize(
@@ -280,14 +280,12 @@ def synthesize(
 ) -> Strategy:
     """Materialize the canonical optimal play; length equals f_cost(n, s)."""
     cap = config.DEFAULT_MATERIALIZATION_CAP if max_moves is None else max_moves
-    moves = []
-    for move in iter_strategy_moves(n, s, tables=tables):
-        if len(moves) >= cap:
-            raise ResourceLimitError(
-                f"play for n={n}, S={s} exceeds the materialization cap ({cap} moves)"
-            )
-        moves.append(move)
-    return Strategy(n, tuple(moves))
+    moves = tuple(itertools.islice(iter_strategy_moves(n, s, tables=tables), max(cap, 0) + 1))
+    if len(moves) > cap:
+        raise ResourceLimitError(
+            f"play for n={n}, S={s} exceeds the materialization cap ({cap} moves)"
+        )
+    return Strategy(n, moves)
 
 
 def reverse_strategy(strategy: Strategy) -> Strategy:

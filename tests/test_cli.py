@@ -133,6 +133,13 @@ def test_strategy_intervals_match_the_library_route(capsys):
             ), (n, s)
 
 
+def test_strategy_deep_play_verifies(capsys):
+    code, out, err = run(capsys, "strategy", "1000", "1000", "--verify")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == "T=1999 peak=1000 valid=true"
+
+
 def test_strategy_unsolvable(capsys):
     code, out, err = run(capsys, "strategy", "5", "3")
     assert code == 2

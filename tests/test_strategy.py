@@ -1,5 +1,6 @@
 """Synthesis, replay verification, reversal, interval-view and parser tests."""
 
+import hashlib
 import io
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pebblegame import (
     INFINITE,
+    DpTables,
     ResourceLimitError,
     UnsolvableError,
     bfs_min_time,
@@ -97,6 +99,41 @@ def test_synthesize_unsolvable():
 def test_synthesize_materialization_cap():
     with pytest.raises(ResourceLimitError):
         synthesize(8, 4, max_moves=5)
+    assert synthesize(8, 4, max_moves=25).step_count == 25
+    with pytest.raises(ResourceLimitError):
+        synthesize(8, 4, max_moves=24)
+
+
+def test_deep_play_has_no_depth_limit():
+    # m(n, n) = 1, so each subgame's middle part is the (n-1)-game: they nest n deep.
+    play = synthesize(1200, 1200)
+    assert play.step_count == 2399
+    report = verify(play, 1200)
+    assert report.valid
+    assert report.peak_pebbles == 1200
+
+
+def test_canonical_move_order_pinned_at_scale():
+    text = format_moves(iter_strategy_moves(4096, 13))
+    assert text.count("\n") == 190947
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "3286d009b72a02dbb32540997463151b7388c77e3e2f86df006daab0f14004aa"
+    )
+
+
+@pytest.mark.parametrize("split", [0, 2, 3])
+def test_split_outside_the_board_raises(split):
+    # A hand-built table whose only split breaks 1 <= m < n.
+    tables = DpTables(
+        nmax=2,
+        smax=2,
+        f=((None, None, None), (None, 1, 1), (None, INFINITE, 3)),
+        m=((0, 0, 0), (0, 0, 0), (0, 0, split)),
+    )
+    moves = iter_strategy_moves(2, 2, tables=tables)
+    with pytest.raises(UnsolvableError, match=r"^no split for n=2, S=2$"):
+        list(moves)
 
 
 def test_streaming_equals_materialized():
