@@ -126,10 +126,18 @@ def entropy(gamma: float) -> float:
     return -gamma * math.log2(gamma) - (1.0 - gamma) * math.log2(1.0 - gamma)
 
 
+def _board_size(h: float, s: int) -> int:
+    """floor(2**(h*S)), the board that f reads at h; TableRangeError past float range."""
+    try:
+        return math.floor(2 ** (h * s))
+    except OverflowError:
+        raise TableRangeError(f"board size 2**({h}*S) at S={s} is beyond float range") from None
+
+
 def f_gamma(gamma: float, s: int, tables: dp.DpTables) -> float:
     """Normalized log-cost (1/s) * log2 F(floor(2**(gamma*s)), s)."""
     dp._check_int("S", s, 1)
-    n = math.floor(2 ** (gamma * s))
+    n = _board_size(gamma, s)
     if n < 1:
         raise ValueError(f"gamma={gamma} gives an empty board (floor 2**(gamma*S) = {n})")
     if n > tables.nmax:
@@ -156,7 +164,7 @@ def f_gamma_report(s: int, tables: dp.DpTables, gammas) -> list:
     rows = []
     for gamma in gammas:
         h = entropy(gamma)
-        n = math.floor(2 ** (h * s))
+        n = _board_size(h, s)
         if n < 1 or n > tables.nmax or not dp.is_solvable(n, s):
             rows.append(FGammaRow(gamma=gamma, h=h, n=n, f_value=None, gap=None))
             continue

@@ -257,7 +257,7 @@ def cmd_fgamma(args, limits) -> int:
     solvable_cap = 2 ** (s - 1)
     nmax = 1
     for gamma in gammas:
-        n = math.floor(2 ** (analysis.entropy(gamma) * s))
+        n = analysis._board_size(analysis.entropy(gamma), s)
         if 1 <= n <= solvable_cap:
             nmax = max(nmax, n)
     tables = dp.build_table(nmax, s, cell_budget=limits.cell_budget)

@@ -9,6 +9,7 @@ cap raise instead of wrapping or drifting.
 
 from __future__ import annotations
 
+import functools
 from typing import Union
 
 from .errors import CostOverflowError
@@ -16,6 +17,7 @@ from .errors import CostOverflowError
 MAX_FINITE_COST = 2**63 - 1
 
 
+@functools.total_ordering
 class InfiniteCost:
     """Singleton sentinel that compares above every finite cost."""
 
@@ -34,25 +36,6 @@ class InfiniteCost:
     def __lt__(self, other):
         if isinstance(other, (int, InfiniteCost)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, InfiniteCost):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, InfiniteCost):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, InfiniteCost)):
-            return True
         return NotImplemented
 
     def __eq__(self, other):

@@ -17,15 +17,22 @@ the (n-m)-square game above it with one pebble parked on m, then erase the
 first stage in reverse.
 
 One evaluation route is provided: the recursion is filled layer by layer
-(one layer per pebble budget), advancing the best split by at most one per
-board size, so each layer costs O(nmax) comparisons.  ``build_table`` returns
-whole tables; ``f_cost``, ``split_point`` and ``delta`` run one such pass up
-to the queried cell and keep no state between calls.  The test suite checks
-the layers against a plain recursion over every split.
+(one layer per pebble budget).  Writing G(m) = F(m, S) + F(m, S-1) and
+H(j) = F(j, S-1), a layer is the (min,+) convolution of G and H.  Both are
+convex, so the layer is a merge of their two sorted slope sequences in
+O(nmax) steps (Cygan, Mucha, Wegrzycki, Wlodarczyk, "On problems equivalent
+to (min,+)-convolution", ICALP 2017); ties go to H, which keeps the least
+split.  The finite part of a layer ends at n = 2**(S-1), where the merge
+runs out of finite terms; past it the layer is INFINITE padding.
+``build_table`` returns whole tables; ``f_cost``, ``split_point`` and
+``delta`` run one such pass up to the queried cell and keep no state between
+calls.  The test suite checks the layers against a plain recursion over
+every split.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 from dataclasses import dataclass
@@ -83,10 +90,14 @@ def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[tuple]:
     """Yield the (F, least split) layers for S = 1..smax, each as it is filled.
 
     In the layer for S, ``f[n]`` is F(n, S) and ``m[n]`` the least optimal
-    split (0 where undefined); index 0 pads.  Within a layer the optimal
-    split advances by at most one per n, so only the current split and its
-    successor are compared; once a cell is infinite the rest of the layer is
-    infinite.  A consumer that keeps only the last layer holds two at a time.
+    split (0 where undefined); index 0 pads.  F(n, S) is the least
+    G(m) + H(n - m), G and H as in the module docstring.  Two pointers, m
+    and j = n - m, start at 1; after each cell the one whose term grows
+    less advances, and a tie advances j, so m stays the least split.  Both
+    stop at ``top``, the end of the finite part of the layer below
+    (2**(S-2), or nmax if less), so the merge never reads INFINITE, which
+    only pads each layer past its own finite part.  A consumer that keeps
+    only the last layer holds two at a time.
     """
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     if nmax * smax > budget:
@@ -94,47 +105,32 @@ def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[tuple]:
             f"table of {nmax * smax} cells exceeds the cell budget ({budget})"
         )
 
-    prev = [None, 1] + [INFINITE] * (nmax - 1)
-    yield prev, [0] * (nmax + 1)
+    below, top = [None, 1] + [INFINITE] * (nmax - 1), 1
+    yield below, [0] * (nmax + 1)
 
     for s in range(2, smax + 1):
-        cur = [None, 1]
-        cur_m = [0, 0]
-        if nmax >= 2:
-            cur.append(3)
-            cur_m.append(1)
-        m = 1
-        for n in range(3, nmax + 1):
-            a1 = cur[m]
-            b1 = prev[n - m]
-            c1 = prev[m]
-            if a1 is INFINITE or b1 is INFINITE or c1 is INFINITE:
-                t1: Cost = INFINITE
-            else:
-                t1 = a1 + b1 + c1
-            a2 = cur[m + 1]
-            b2 = prev[n - m - 1]
-            c2 = prev[m + 1]
-            if a2 is INFINITE or b2 is INFINITE or c2 is INFINITE:
-                t2: Cost = INFINITE
-            else:
-                t2 = a2 + b2 + c2
-            # Advance only on strict improvement: ties keep the least split.
-            if t2 is not INFINITE and (t1 is INFINITE or t2 < t1):
+        f, split, m, j = [None, 1], [0, 0], 1, 1
+        while len(f) <= nmax:
+            f.append(f[m] + below[m] + below[j])
+            split.append(m)
+            if j < top and (
+                m == top
+                or below[j + 1] - below[j] <= f[m + 1] - f[m] + below[m + 1] - below[m]
+            ):
+                j += 1
+            elif m < top:
                 m += 1
-                t = t2
             else:
-                t = t1
-            if t is not INFINITE and t > MAX_FINITE_COST:
-                raise CostOverflowError(f"F(n={n}, S={s}) exceeds the 64-bit cap")
-            if t is INFINITE:
-                cur.extend([INFINITE] * (nmax - n + 1))
-                cur_m.extend([0] * (nmax - n + 1))
                 break
-            cur.append(t)
-            cur_m.append(m)
-        yield cur, cur_m
-        prev = cur
+        # F rises with n: if any cell passes the cap, the last one does.
+        if f[-1] > MAX_FINITE_COST:
+            n = bisect.bisect_right(f, MAX_FINITE_COST, 1)
+            raise CostOverflowError(f"F(n={n}, S={s}) exceeds the 64-bit cap")
+        top = len(f) - 1
+        f.extend([INFINITE] * (nmax - top))
+        split.extend([0] * (nmax - top))
+        yield f, split
+        below = f
 
 
 def _cell(n: int, s: int, cell_budget: int | None) -> tuple:

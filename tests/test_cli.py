@@ -339,6 +339,13 @@ def test_fgamma_report(capsys):
     assert len(lines) == 11
 
 
+@pytest.mark.parametrize("argv", [("fgamma", "1024"), ("fgamma", "1100", "--points", "1")])
+def test_fgamma_board_beyond_float_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err.startswith("resource limit: ") and "beyond float range" in err
+
+
 def test_identical_runs_are_byte_identical(capsys):
     first = run(capsys, "table", "30", "8", "--format", "csv")
     second = run(capsys, "table", "30", "8", "--format", "csv")

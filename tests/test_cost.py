@@ -1,3 +1,6 @@
+import math
+import operator
+
 import pytest
 
 from pebblegame import (
@@ -15,7 +18,25 @@ def test_sentinel_is_a_singleton():
     assert InfiniteCost() is INFINITE
 
 
+ORDERING_OPERANDS = [0, 7, -3, 10**30, True, False, 1.5, float("inf"), "x", None, INFINITE]
+
+
 def test_ordering_against_ints():
+    # INFINITE ranks above every int (bools included) and level with itself;
+    # it equals nothing else, and ordering it against a non-int is a TypeError.
+    def rank(value):
+        return math.inf if value is INFINITE else value
+
+    for other in ORDERING_OPERANDS:
+        for left, right in ((INFINITE, other), (other, INFINITE)):
+            assert (left == right) is (other is INFINITE)
+            assert (left != right) is (other is not INFINITE)
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                if other is INFINITE or isinstance(other, int):
+                    assert op(left, right) is op(rank(left), rank(right)), (op, left, right)
+                else:
+                    with pytest.raises(TypeError):
+                        op(left, right)
     assert INFINITE > 10**18
     assert not INFINITE < 0
     assert 5 < INFINITE

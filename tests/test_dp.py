@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pebblegame import (
     INFINITE,
+    CostOverflowError,
     ResourceLimitError,
     TableRangeError,
     bfs_min_time,
@@ -231,6 +232,28 @@ def test_cell_budget_enforced():
         build_table(100, 100, cell_budget=99)
     with pytest.raises(ResourceLimitError):
         f_cost(10**7, 30, cell_budget=1000)
+
+
+@pytest.mark.parametrize("nmax, smax", [(300, 12), (5000, 14)])
+@pytest.mark.parametrize("cap", [3, 10, 100, 531, 10**5])
+def test_layer_pass_names_the_first_cell_over_the_cap(monkeypatch, nmax, smax, cap):
+    tables = build_table(nmax, smax)
+    first = next(
+        (
+            (n, s)
+            for s in range(1, smax + 1)
+            for n in range(1, nmax + 1)
+            if tables.f[n][s] is not INFINITE and tables.f[n][s] > cap
+        ),
+        None,
+    )
+    monkeypatch.setattr(dp, "MAX_FINITE_COST", cap)
+    if first is None:  # every F in 300x12 is at most 10**5
+        assert build_table(nmax, smax) == tables
+        return
+    message = rf"^F\(n={first[0]}, S={first[1]}\) exceeds the 64-bit cap$"
+    with pytest.raises(CostOverflowError, match=message):
+        build_table(nmax, smax)
 
 
 def test_table_delta():
