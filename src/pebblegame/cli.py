@@ -143,7 +143,7 @@ def cmd_strategy(args, limits) -> int:
     s_eff = min(s, n)
     tables = dp.build_table(n, s_eff, cell_budget=limits.cell_budget)
     checker = strategy.ReplayChecker(n, budget=s)
-    moves = strategy.iter_strategy_moves(n, s, tables=tables)
+    chunks = strategy._emit(n, s, tables.m)
     if args.emit == "intervals":
         total = tables.f[n][s_eff]
         if total > limits.materialization_cap:
@@ -151,13 +151,13 @@ def cmd_strategy(args, limits) -> int:
                 f"interval view needs {total} moves materialized; cap is "
                 f"{limits.materialization_cap} (the moves format streams instead)"
             )
-        sys.stdout.write(strategy._replay_intervals(checker, moves).to_text())
+        sys.stdout.write(strategy._replay_intervals(checker, chunks).to_text())
     else:
-        out = sys.stdout
-        for move in moves:
-            out.write(f"{move}\n")
+        write = sys.stdout.write
+        for chunk in chunks:
+            write(strategy._format_signed(chunk))
             if args.verify:
-                checker.feed(move)
+                checker.feed_signed(chunk)
     if args.verify:
         print(_summary_line(checker.finish(expected=frozenset({n}))))
     return EXIT_OK
@@ -169,8 +169,11 @@ def cmd_verify(args, limits) -> int:
         source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
         with source as stream:
             checker = strategy.ReplayChecker(args.n, budget=args.s)
-            for move in strategy._iter_moves(stream):
-                checker.feed(move)
+            for chunk in strategy._iter_chunks(stream):
+                if isinstance(chunk, list):
+                    checker.feed_signed(chunk)
+                else:
+                    checker.feed(chunk)
     except OSError as exc:
         if on_stdin:
             raise

@@ -1,18 +1,23 @@
 """Move sequences: synthesis of optimal plays, replay verification, intervals.
 
 A move is ``+i`` (place a pebble on square i) or ``-i`` (remove one).  The
-text wire format is one move per line, newline terminated.  Optimal plays are
-emitted by one loop over a stack of subgames; a subgame played backwards is
-its parts in reverse order, each backwards.  One replay core, ``ReplayChecker``,
-applies moves to a board under the game rule that square i may change only
-when i == 1 or square i-1 is occupied; the verification report, the peak, the
-residence intervals and their nesting are by-products.
+text wire format is one move per line, newline terminated.  ``Move`` is the
+type at the library boundary; inside, a play travels as lists of signed
+squares, ``+i`` as ``i`` and ``-i`` as ``-i``, so that text is written, parsed
+and replayed a chunk at a time.  Optimal plays are emitted by one loop over a
+stack of subgames, as lists of about ``CHUNK`` signed squares; a subgame
+played backwards is its parts in reverse order, each backwards.  One replay
+core, ``ReplayChecker.feed_signed``, applies moves to a board under the game
+rule that square i may change only when i == 1 or square i-1 is occupied; the
+verification report, the peak, the residence intervals and their nesting are
+by-products.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -25,6 +30,12 @@ RULE_ADD = "add"
 RULE_REMOVE = "remove"
 RULE_OCCUPANCY = "occupancy"
 RULE_BUDGET = "budget"
+
+# Signed squares per list yielded by the emitter.
+CHUNK = 8192
+# A block of moves the parser may read by int() alone: each line a sign and a
+# square in plain ASCII digits, no leading zero, "\n" terminated.
+_PLAIN = re.compile(r"(?:[+-][1-9][0-9]*\n)*")
 
 
 class Move(NamedTuple):
@@ -53,26 +64,67 @@ def parse_move(text: str) -> Move:
     return Move(text[0] == "+", int(text[1:]))
 
 
+def _signed(moves: Iterable[Move]) -> list:
+    return [move.square if move.place else -move.square for move in moves]
+
+
+def _moves_of(values: Iterable[int]) -> Iterator[Move]:
+    return (Move(value > 0, abs(value)) for value in values)
+
+
+def _format_signed(values: list) -> str:
+    """Signed squares as wire text: per square, the same bytes as ``f"{move}\\n"``."""
+    return "%+d\n" * len(values) % tuple(values)
+
+
 def format_moves(moves: Iterable[Move]) -> str:
-    return "".join(f"{move}\n" for move in moves)
+    """Moves as wire text.  Squares are positive, as on every board: square 0
+    has no sign, so a ``Move(False, 0)`` is written as ``+0``."""
+    return _format_signed(_signed(moves))
 
 
 def parse_moves(text: str) -> tuple:
     return tuple(parse_move(line) for line in text.splitlines() if line.strip())
 
 
-def _iter_moves(stream, size: int = 1 << 16) -> Iterator[Move]:
+def _parse_lines(lines: Iterable[str]) -> Iterator[Move]:
+    return (parse_move(line) for line in lines if line.strip())
+
+
+def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
     """Parse moves from a text stream in O(size) memory, calling only ``read(size)``.
 
-    Lines are those of ``str.splitlines``, as in ``parse_moves``: the last line
-    of each chunk is carried into the next, to join a line or ``\\r\\n`` cut in two.
+    Lines are those of ``str.splitlines``, as in ``parse_moves``.  When the text
+    up to the last ``\\n`` read is plain (``_PLAIN``), it is yielded as one list
+    of signed squares.  Other text goes through ``parse_move`` line by line and
+    is yielded one ``Move`` at a time, so a consumer that applies each item
+    before asking for the next sees errors in input order.  What follows the
+    cut is carried into the next read, to join a line or ``\\r\\n`` cut in two.
     """
     carry = ""
     while chunk := stream.read(size):
-        *lines, carry = (carry + chunk).splitlines(keepends=True)
-        yield from (parse_move(line) for line in lines if line.strip())
-    if carry.strip():
-        yield parse_move(carry)
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        if cut and _PLAIN.fullmatch(text, 0, cut):
+            yield list(map(int, text[:cut].split()))
+            carry = text[cut:]
+        else:
+            *lines, carry = text.splitlines(keepends=True)
+            yield from _parse_lines(lines)
+    yield from _parse_lines(carry.splitlines())
+
+
+def _iter_moves(stream, size: int = 1 << 16) -> Iterator[Move]:
+    """The moves of ``_iter_chunks``, one at a time."""
+    for chunk in _iter_chunks(stream, size):
+        if isinstance(chunk, list):
+            yield from _moves_of(chunk)
+        else:
+            yield chunk
+
+
+def _off_board(move, n: int) -> ValueError:
+    return ValueError(f"move {move} references a square outside the {n}-square board")
 
 
 @dataclass(frozen=True)
@@ -92,9 +144,7 @@ class Strategy:
         object.__setattr__(self, "moves", tuple(self.moves))
         for move in self.moves:
             if not 1 <= move.square <= self.n:
-                raise ValueError(
-                    f"move {move} references a square outside the {self.n}-square board"
-                )
+                raise _off_board(move, self.n)
 
     @functools.cached_property
     def peak_pebbles(self) -> int:
@@ -103,8 +153,7 @@ class Strategy:
         On an illegal sequence, the peak up to the first structural violation.
         """
         checker = ReplayChecker(self.n)
-        for move in self.moves:
-            checker.feed(move)
+        checker.feed_signed(_signed(self.moves))
         return checker.peak
 
     @property
@@ -125,14 +174,16 @@ class VerificationReport:
 
 
 class ReplayChecker:
-    """Incremental legality checker; feed moves one at a time.
+    """Incremental legality checker; feed moves in order, one or a list at a time.
 
     Structural violations (double place, remove from empty, disabled move)
     halt the replay because later board states would be meaningless.  A
     budget overshoot is recorded but the replay continues, so the true peak
     is still reported.  Nested residence intervals are detected online: when
     an interval of square i closes while square i+1 has been held at least
-    as long, that interval contributed nothing.
+    as long, that interval contributed nothing.  The board is a dict of the
+    occupied squares, each mapped to the step it was pebbled at, so memory is
+    O(pebbles) whatever the board size.
     """
 
     def __init__(self, n: int, budget: int | None = None, initial: Iterable[int] = ()):
@@ -140,15 +191,23 @@ class ReplayChecker:
             raise ValueError(f"board size must be >= 1, got {n}")
         self.n = n
         self.budget = budget
-        self.board = set(initial)
-        if any(not 1 <= i <= n for i in self.board):
+        self._open_start = dict.fromkeys(initial, 0)
+        if any(not 1 <= i <= n for i in self._open_start):
             raise ValueError("initial pebbles outside the board")
-        self._open_start = {i: 0 for i in self.board}
-        self.peak = len(self.board)
+        self.peak = len(self._open_start)
         self.steps = 0
         self.first_violation: Optional[tuple] = None
-        self.halted = False
+        self.halt: Optional[tuple] = None  # (step, rule) of the structural violation
         self.nesting: list = []
+
+    @property
+    def board(self):
+        """The occupied squares, as a set-like view."""
+        return self._open_start.keys()
+
+    @property
+    def halted(self) -> bool:
+        return self.halt is not None
 
     def feed(self, move: Move) -> Optional[tuple]:
         """Apply one move; return the closed interval (start, end) of a remove, else None.
@@ -157,51 +216,87 @@ class ReplayChecker:
         """
         i = move.square
         if not 1 <= i <= self.n:
-            raise ValueError(
-                f"move {move} references a square outside the {self.n}-square board"
-            )
-        self.steps += 1
-        if self.halted:
-            return None
-        step = self.steps
-        if move.place == (i in self.board):
-            return self._halt(step, RULE_OCCUPANCY)
-        if i != 1 and (i - 1) not in self.board:
-            return self._halt(step, RULE_ADD if move.place else RULE_REMOVE)
-        if move.place:
-            self.board.add(i)
-            self._open_start[i] = step
-            if len(self.board) > self.peak:
-                self.peak = len(self.board)
-            if (
-                self.budget is not None
-                and len(self.board) > self.budget
-                and self.first_violation is None
-            ):
-                self.first_violation = (step, RULE_BUDGET)
-            return None
-        start = self._open_start.pop(i)
-        self.board.discard(i)
-        interval = (start, step - 1)
-        above = i + 1
-        if above in self.board and self._open_start[above] <= start:
-            self.nesting.append((i, interval))
-        return interval
+            raise _off_board(move, self.n)
+        closed: list = []
+        self.feed_signed((i if move.place else -i,), closed)
+        return closed[0][1] if closed else None
 
-    def _halt(self, step: int, rule: str) -> None:
-        self.halted = True
-        if self.first_violation is None:
-            self.first_violation = (step, rule)
+    def feed_signed(self, values: Iterable[int], closed: list | None = None) -> None:
+        """Apply signed squares in order: ``i`` places a pebble on square i, ``-i`` removes it.
+
+        Each remove appends ``(square, (start, end))`` to ``closed``, when given.
+        A square outside the board raises ValueError, even after a halt; the
+        moves before it stay applied.  This is the package's one replay loop:
+        its state lives in locals, written back when the loop ends or raises.
+        """
+        n = self.n
+        board = self._open_start
+        nesting = self.nesting
+        step, peak, size = self.steps, self.peak, len(board)
+        violation, rule = self.first_violation, None
+        # No square beyond n exists, so n pebbles are never over the limit.
+        limit = n if self.budget is None or violation is not None else self.budget
+        values = iter(values)
+        try:
+            if self.halt is None:
+                for value in values:
+                    if value > 0:
+                        if value > n:
+                            break
+                        step += 1
+                        if value in board:
+                            rule = RULE_OCCUPANCY
+                            break
+                        if value - 1 not in board and value != 1:
+                            rule = RULE_ADD
+                            break
+                        board[value] = step
+                        size += 1
+                        if size > peak:
+                            peak = size
+                        if size > limit:
+                            violation, limit = (step, RULE_BUDGET), n
+                    else:
+                        i = -value
+                        if not 0 < i <= n:
+                            break
+                        step += 1
+                        start = board.get(i)
+                        if start is None:
+                            rule = RULE_OCCUPANCY
+                            break
+                        if i - 1 not in board and i != 1:
+                            rule = RULE_REMOVE
+                            break
+                        del board[i]
+                        size -= 1
+                        if board.get(i + 1, step) <= start:
+                            nesting.append((i, (start, step - 1)))
+                        if closed is not None:
+                            closed.append((i, (start, step - 1)))
+                else:
+                    return
+                if rule is None:
+                    raise _off_board(f"{value:+d}", n)
+                self.halt = (step, rule)
+                if violation is None:
+                    violation = self.halt
+            for value in values:  # after a halt, only the bounds are checked
+                if not 0 < abs(value) <= n:
+                    raise _off_board(f"{value:+d}", n)
+                step += 1
+        finally:
+            self.steps, self.peak, self.first_violation = step, peak, violation
 
     def finish(self, expected: frozenset | None) -> VerificationReport:
         """Check the final board (unless ``expected`` is None) and open-interval
         nesting, and return the report of the whole replay."""
         if not self.halted:
-            for i in sorted(self.board):
-                above = i + 1
-                if above in self.board and self._open_start[above] <= self._open_start[i]:
-                    self.nesting.append((i, (self._open_start[i], None)))
-            if expected is not None and self.board != set(expected):
+            board = self._open_start
+            for i in sorted(board):
+                if i + 1 in board and board[i + 1] <= board[i]:
+                    self.nesting.append((i, (board[i], None)))
+            if expected is not None and board.keys() != set(expected):
                 if self.first_violation is None:
                     self.first_violation = (self.steps, RULE_FINAL)
         return VerificationReport(
@@ -222,8 +317,7 @@ def verify(strategy: Strategy, budget: int) -> VerificationReport:
     but do not make the strategy invalid.
     """
     checker = ReplayChecker(strategy.n, budget=budget)
-    for move in strategy.moves:
-        checker.feed(move)
+    checker.feed_signed(_signed(strategy.moves))
     return checker.finish(expected=frozenset({strategy.n}))
 
 
@@ -236,9 +330,10 @@ def iter_strategy_moves(
     (n-m)-game with one less pebble while a pebble rests on m, then undo the
     m-game with one less pebble by playing it backwards: the same three parts
     in reverse order, each backwards.  Emission is lazy and iterative, so very
-    long plays are never materialized and have no depth limit.  Every subgame
-    is at most (n, min(s, n)), so when ``tables`` do not cover that cell one
-    table that does is built up front.
+    long plays are never materialized and have no depth limit; the moves are
+    those of the signed-square lists of ``_emit``.  Every subgame is at most
+    (n, min(s, n)), so when ``tables`` do not cover that cell one table that
+    does is built up front.
     """
     if not dp.is_solvable(n, s):
         raise UnsolvableError(
@@ -247,18 +342,23 @@ def iter_strategy_moves(
     s_eff = min(s, n)
     if tables is None or n > tables.nmax or s_eff > tables.smax:
         tables = dp.build_table(n, s_eff)
-    return _emit(n, s, tables.m)
+    return _moves_of(itertools.chain.from_iterable(_emit(n, s, tables.m)))
 
 
-def _emit(n: int, s: int, splits: tuple) -> Iterator[Move]:
-    """The play from a stack of (n, S, offset, backwards) subgames.  Parts are pushed
-    reversed for a forward play (first part on top), as they are for a backwards one;
-    the checked 1 <= m < n makes every part smaller, so the loop ends."""
+def _emit(n: int, s: int, splits: tuple) -> Iterator[list]:
+    """The play as lists of ``CHUNK`` signed squares (the last may be shorter), from a
+    stack of (n, S, offset, backwards) subgames.  Parts are pushed reversed for a
+    forward play (first part on top), as they are for a backwards one; the checked
+    1 <= m < n makes every part smaller, so the loop ends."""
     stack = [(n, s, 0, False)]
+    chunk: list = []
     while stack:
         n, s, offset, backwards = stack.pop()
         if n == 1:
-            yield Move(not backwards, offset + 1)
+            chunk.append(-1 - offset if backwards else 1 + offset)
+            if len(chunk) == CHUNK:
+                yield chunk
+                chunk = []
             continue
         m = splits[n][min(s, n)]
         if not 1 <= m < n:
@@ -269,6 +369,8 @@ def _emit(n: int, s: int, splits: tuple) -> Iterator[Move]:
             (m, s - 1, offset, not backwards),
         )
         stack.extend(parts if backwards else reversed(parts))
+    if chunk:
+        yield chunk
 
 
 def synthesize(
@@ -335,19 +437,24 @@ class IntervalView:
 def to_intervals(strategy: Strategy) -> IntervalView:
     """Residence intervals of a move sequence, as closed and left open by a replay;
     a structural violation raises ValueError naming its step and rule."""
-    return _replay_intervals(ReplayChecker(strategy.n), strategy.moves)
+    return _replay_intervals(ReplayChecker(strategy.n), [_signed(strategy.moves)])
 
 
-def _replay_intervals(checker: ReplayChecker, moves: Iterable[Move]) -> IntervalView:
-    """``to_intervals`` of ``moves`` by ``checker``, whose ``finish`` then gives the report."""
+def _replay_intervals(checker: ReplayChecker, chunks: Iterable[list]) -> IntervalView:
+    """``to_intervals`` of the signed-square lists ``chunks`` by ``checker``, whose
+    ``finish`` then gives the report."""
     rows: list = [[] for _ in range(checker.n)]
-    for move in moves:
-        interval = checker.feed(move)
-        if interval is not None:
-            rows[move.square - 1].append(interval)
-        elif checker.halted:
-            step, rule = checker.first_violation
-            raise ValueError(f"step {step}: move {move} breaks the {rule} rule")
+    closed: list = []
+    for chunk in chunks:
+        before = checker.steps
+        checker.feed_signed(chunk, closed)
+        if checker.halted:
+            step, rule = checker.halt
+            move = chunk[step - before - 1]
+            raise ValueError(f"step {step}: move {move:+d} breaks the {rule} rule")
+        for i, interval in closed:
+            rows[i - 1].append(interval)
+        closed.clear()
     for i, start in checker._open_start.items():
         rows[i - 1].append((start, None))
     return IntervalView(checker.n, tuple(tuple(row) for row in rows))

@@ -92,3 +92,67 @@ def pairwise_nesting():
         return tuple(found)
 
     return nesting
+
+
+class _ReferenceReplay:
+    """A replay of signed squares on a set board, one move at a time.
+
+    The plain per-move rules, with no batching and no state held in locals:
+    the independent route ``ReplayChecker.feed_signed`` is checked against.
+    Each remove's ``(square, (start, end))`` is kept in ``closed``.
+    """
+
+    def __init__(self, n, budget=None, initial=()):
+        self.n = n
+        self.budget = budget
+        self.board = set(initial)
+        self.open_start = {i: 0 for i in self.board}
+        self.peak = len(self.board)
+        self.steps = 0
+        self.first_violation = None
+        self.halted = False
+        self.nesting = []
+        self.closed = []
+
+    def feed(self, value):
+        place, i = value > 0, abs(value)
+        if not 1 <= i <= self.n:
+            raise ValueError(
+                f"move {value:+d} references a square outside the {self.n}-square board"
+            )
+        self.steps += 1
+        if self.halted:
+            return
+        step = self.steps
+        if place == (i in self.board):
+            return self._halt(step, "occupancy")
+        if i != 1 and (i - 1) not in self.board:
+            return self._halt(step, "add" if place else "remove")
+        if place:
+            self.board.add(i)
+            self.open_start[i] = step
+            self.peak = max(self.peak, len(self.board))
+            if (
+                self.budget is not None
+                and len(self.board) > self.budget
+                and self.first_violation is None
+            ):
+                self.first_violation = (step, "budget")
+            return
+        start = self.open_start.pop(i)
+        self.board.discard(i)
+        interval = (start, step - 1)
+        if i + 1 in self.board and self.open_start[i + 1] <= start:
+            self.nesting.append((i, interval))
+        self.closed.append((i, interval))
+
+    def _halt(self, step, rule):
+        self.halted = True
+        if self.first_violation is None:
+            self.first_violation = (step, rule)
+
+
+@pytest.fixture(scope="session")
+def reference_replay():
+    """The class of a per-move set-board replay, the reference for the replay core."""
+    return _ReferenceReplay

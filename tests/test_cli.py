@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output bytes, exit codes, and config handling."""
 
+import hashlib
 import io
 from pathlib import Path
 
@@ -119,18 +120,30 @@ def test_strategy_intervals_with_verification(capsys):
 
 
 def test_strategy_intervals_match_the_library_route(capsys):
-    # The CLI replays the streamed play once; the library materializes and replays twice.
+    # The CLI replays the streamed play once, in chunks of signed squares; the
+    # library materializes the moves and replays them for each view.
     for n in range(1, 25):
         for s in range((n - 1).bit_length() + 1, 7):
             play = synthesize(n, s)
             report = verify(play, s)
-            expected = to_intervals(play).to_text() + (
-                f"T={report.step_count} peak={report.peak_pebbles} valid=true\n"
-            )
+            summary = f"T={report.step_count} peak={report.peak_pebbles} valid=true\n"
             assert report.valid
             assert run(capsys, "strategy", str(n), str(s), "--emit", "intervals", "--verify") == (
-                0, expected, ""
+                0, to_intervals(play).to_text() + summary, ""
             ), (n, s)
+            assert run(capsys, "strategy", str(n), str(s), "--verify") == (
+                0, format_moves(play.moves) + summary, ""
+            ), (n, s)
+
+
+def test_strategy_bytes_pinned_at_scale(capsys):
+    # The same text as format_moves(iter_strategy_moves(4096, 13)) in test_strategy.py.
+    code, out, err = run(capsys, "strategy", "4096", "13")
+    assert (code, err) == (0, "")
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "3286d009b72a02dbb32540997463151b7388c77e3e2f86df006daab0f14004aa"
+    )
 
 
 def test_strategy_deep_play_verifies(capsys):
@@ -227,6 +240,34 @@ def test_verify_out_of_board_after_a_halt(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "2", "2")
     assert (code, out) == (64, "")
     assert err == "error: move +9 references a square outside the 2-square board\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # The square off the board is in a plain chunk of 2**16 characters, the
+        # malformed line in a later chunk.
+        (
+            "+1\n+5\n" + "+1\n" * 30000 + "zz\n",
+            "move +5 references a square outside the 2-square board",
+        ),
+        # More than one chunk of plain moves, then a malformed line.
+        ("+1\n-1\n" * 12000 + "zz\n", "malformed move 'zz'; expected +<i> or -<i>"),
+        # One chunk that is not plain: each line is applied before the next is parsed.
+        ("+1\n+5\nzz\n+1\n", "move +5 references a square outside the 2-square board"),
+    ],
+    ids=["off-board-then-malformed", "malformed-after-a-chunk", "one-chunk"],
+)
+def test_verify_reports_errors_in_input_order(capsys, monkeypatch, text, message):
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(text))
+    assert run(capsys, "verify", "2", "2") == (64, "", f"error: {message}\n")
+
+
+def test_verify_board_is_not_sized_by_n(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin("+1\n+2\n-1\n"))
+    assert run(capsys, "verify", "1000000000000", "3") == (
+        2, "T=3 peak=2 valid=false\n", "first violation: step 3 (final)\n"
+    )
 
 
 def test_verify_empty_input(capsys, monkeypatch):

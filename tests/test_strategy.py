@@ -25,6 +25,7 @@ from pebblegame import (
 )
 from pebblegame.strategy import (
     Move,
+    _iter_chunks,
     _iter_moves,
     ReplayChecker,
     Strategy,
@@ -362,6 +363,117 @@ def test_move_text_round_trip(moves):
     assert parse_moves(format_moves(moves)) == tuple(moves)
 
 
+# -- the replay core against a per-move set-board replay -----------------------
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@st.composite
+def signed_plays(draw):
+    """(n, budget, initial, signed squares, cut points) for a replay on at most 6 squares.
+
+    Most moves toggle an enabled square of the board a legal play would hold;
+    the rest are any move on the board (double places, removes from an empty
+    square, disabled moves) or, rarely, a square off the board.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    initial = draw(st.frozensets(st.integers(min_value=1, max_value=n)))
+    budget = draw(st.sampled_from([None, -1, 0, 1, 2, 3]))
+    board = set(initial)
+    values = []
+    kinds = st.sampled_from(["legal"] * 50 + ["any"] * 9 + ["off"])
+    length = draw(st.integers(min_value=0, max_value=60))
+    picks = st.lists(st.tuples(kinds, st.integers(0, 11)), min_size=length, max_size=length)
+    for kind, pick in draw(picks):
+        if kind == "legal":
+            enabled = [i for i in range(1, n + 1) if i == 1 or i - 1 in board]
+            square = enabled[pick % len(enabled)]
+            values.append(-square if square in board else square)
+            board.symmetric_difference_update({square})
+        elif kind == "any":
+            square = pick % n + 1
+            values.append(square if pick % 2 else -square)
+        else:
+            values.append((0, n + 1, -n - 1, n + pick)[pick % 4])
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=6)))
+    return n, budget, initial, values, cuts
+
+
+def _replay_state(checker, closed):
+    return (
+        checker.steps,
+        checker.peak,
+        checker.first_violation,
+        checker.halted,
+        checker.nesting,
+        closed,
+        dict(checker._open_start),
+    )
+
+
+@settings(max_examples=400, derandomize=True)
+@given(signed_plays())
+def test_replay_core_matches_reference(reference_replay, case):
+    n, budget, initial, values, cuts = case
+    reference = reference_replay(n, budget, initial)
+
+    def feed_reference():
+        for value in values:
+            reference.feed(value)
+
+    expected_error = _outcome(feed_reference)
+    expected = (
+        reference.steps,
+        reference.peak,
+        reference.first_violation,
+        reference.halted,
+        reference.nesting,
+        reference.closed,
+        reference.open_start,
+    )
+
+    whole, closed = ReplayChecker(n, budget, initial), []
+    assert _outcome(lambda: whole.feed_signed(values, closed)) == expected_error
+    assert _replay_state(whole, closed) == expected
+
+    # Cut into chunks: the state written back after each call carries into the next.
+    chunked, closed = ReplayChecker(n, budget, initial), []
+
+    def feed_chunks():
+        for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
+            chunked.feed_signed(values[lo:hi], closed)
+
+    assert _outcome(feed_chunks) == expected_error
+    assert _replay_state(chunked, closed) == expected
+
+    single, closed = ReplayChecker(n, budget, initial), []
+
+    def feed_moves():
+        for value in values:
+            interval = single.feed(Move(value >= 0, abs(value)))
+            if interval is not None:
+                closed.append((abs(value), interval))
+
+    assert _outcome(feed_moves) == expected_error
+    assert _replay_state(single, closed) == expected
+    if expected_error is None:
+        assert whole.finish(frozenset({n})) == chunked.finish(frozenset({n}))
+
+
+def test_feed_keeps_the_sign_of_square_zero():
+    checker = ReplayChecker(3)
+    with pytest.raises(ValueError, match=r"^move -0 references a square outside the 3-square board$"):
+        checker.feed(remove(0))
+    with pytest.raises(ValueError, match=r"^move \+0 references a square outside the 3-square board$"):
+        checker.feed_signed([0])
+    assert checker.steps == 0
+
+
 # -- the chunked parser against parse_moves ------------------------------------
 
 text_pieces = st.sampled_from(
@@ -370,15 +482,66 @@ text_pieces = st.sampled_from(
 )
 
 
-def _outcome(parse):
-    try:
-        return parse()
-    except ValueError as exc:
-        return ValueError, str(exc)
+def _plain_block(count: int, seed: int) -> str:
+    """``count`` plain move lines, squares of one to six digits."""
+    return "".join(
+        "%+d\n" % ((-1) ** k * ((seed + k) * 7919 % 10 ** (1 + (seed + k) % 6) + 1))
+        for k in range(count)
+    )
+
+
+# Short texts of any pieces read in tiny chunks, and long texts that are plain
+# but for a few pieces, read in chunks of up to 4096: one text then takes the
+# parser's fast route for some chunks and its per-line route for others.
+mixed_texts = st.tuples(
+    st.lists(text_pieces, max_size=30).map("".join), st.integers(min_value=1, max_value=7)
+)
+plain_texts = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, 400), st.integers(0, 99), st.one_of(st.none(), text_pieces)),
+        max_size=8,
+    ).map(lambda parts: "".join(_plain_block(k, seed) + (piece or "") for k, seed, piece in parts)),
+    st.integers(min_value=1, max_value=4096),
+)
 
 
 @settings(max_examples=300, derandomize=True)
-@given(st.lists(text_pieces, max_size=30).map("".join), st.integers(min_value=1, max_value=7))
-def test_chunked_parser_matches_parse_moves(text, size):
+@given(st.one_of(mixed_texts, plain_texts))
+def test_chunked_parser_matches_parse_moves(case):
+    text, size = case
     expected = _outcome(lambda: parse_moves(text))
     assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text), size))) == expected
+
+
+def _chunk_kinds(text: str) -> list:
+    """Per item the parser yields before any error: "list" (fast route) or "move"."""
+    kinds = []
+    try:
+        for item in _iter_chunks(io.StringIO(text)):
+            kinds.append("list" if isinstance(item, list) else "move")
+    except ValueError:
+        pass
+    return kinds
+
+
+def test_parser_fast_route_reads_plain_lines():
+    assert list(_iter_chunks(io.StringIO("+1\n-1\n+" + "9" * 40 + "\n"))) == [[1, -1, 10**40 - 1]]
+    # Text past the last newline is carried, then parsed line by line.
+    assert _chunk_kinds("+1\n+2\r-1") == ["list", "move", "move"]
+    assert tuple(_iter_moves(io.StringIO("+1\n+2\r-1"))) == parse_moves("+1\n+2\r-1")
+
+
+@pytest.mark.parametrize(
+    "piece",
+    ["+0\n", "-0\n", "+01\n", "+\u0663\n", "+2\r\n", "\n", "  \n", " +2\n", "+2 \n",
+     "\t-2\n", "+2\x0c", "zz\n"],
+    ids=["plus-zero", "minus-zero", "leading-zero", "arabic-indic-digit", "crlf", "blank",
+         "spaces", "leading-space", "trailing-space", "tab", "form-feed", "malformed"],
+)
+def test_parser_falls_back_on_any_other_line(piece):
+    # "+\u0663" is an Arabic-Indic digit three, which parse_move reads as square 3.
+    text = "+1\n-1\n" + piece + "+2\n"
+    assert "list" not in _chunk_kinds(text)
+    assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text)))) == _outcome(
+        lambda: parse_moves(text)
+    )
