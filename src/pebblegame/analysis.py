@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import config, dp
 from .cost import INFINITE, MAX_FINITE_COST
@@ -45,8 +45,7 @@ def _validate_ks(k: int, s: int, min_s: int = 2) -> None:
     dp._check_int("S", s, min_s)
 
 
-@dataclass(frozen=True)
-class ThresholdRecord:
+class ThresholdRecord(NamedTuple):
     """Least n whose marginal cost exceeds 2**k, with its closed-form bounds."""
 
     k: int
@@ -56,8 +55,7 @@ class ThresholdRecord:
     x_upper: int
 
 
-@dataclass(frozen=True)
-class TsRecord:
+class TsRecord(NamedTuple):
     """Exact minimizer of F(n, S) * S over pebble budgets."""
 
     n: int
@@ -150,8 +148,7 @@ def f_gamma(gamma: float, s: int, tables: dp.DpTables) -> float:
     return math.log2(value) / s
 
 
-@dataclass(frozen=True)
-class FGammaRow:
+class FGammaRow(NamedTuple):
     gamma: float
     h: float
     n: int

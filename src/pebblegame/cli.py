@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 success/finite, 2 unsolvable or invalid,
 64 usage error, 65 resource limit.  Data goes to stdout, diagnostics to
-stderr, and identical invocations produce byte-identical output.
+stderr, and identical invocations produce byte-identical output.  Each
+command imports the modules it runs when it runs, so a process loads only
+what its command needs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import contextlib
 import math
 import sys
 
-from . import analysis, config, dp, oracle, strategy
-from .analysis import BEYOND_TABLE
+from . import config
 from .cost import INFINITE, format_cost
 from .errors import (
     CostOverflowError,
@@ -96,6 +97,8 @@ def _build_parser() -> _Parser:
 
 
 def cmd_cost(args, limits) -> int:
+    from . import dp
+
     value, split = dp._cell(args.n, args.s, limits.cell_budget)
     print(f"F({args.n},{args.s}) = {format_cost(value)}")
     if value is not INFINITE and args.n >= 2:
@@ -109,7 +112,7 @@ def _aligned(rows: list) -> str:
     return "".join(" ".join(map(str.rjust, row, widths)) + "\n" for row in rows)
 
 
-def _render_table(tables: dp.DpTables, fmt: str) -> str:
+def _render_table(tables, fmt: str) -> str:
     header = ["n"] + [f"S={s}" for s in range(1, tables.smax + 1)]
     rows = [header]
     for n in range(1, tables.nmax + 1):
@@ -122,17 +125,21 @@ def _render_table(tables: dp.DpTables, fmt: str) -> str:
 
 
 def cmd_table(args, limits) -> int:
+    from . import dp
+
     tables = dp.build_table(args.nmax, args.smax, cell_budget=limits.cell_budget)
     sys.stdout.write(_render_table(tables, args.format))
     return EXIT_OK
 
 
-def _summary_line(report: strategy.VerificationReport) -> str:
+def _summary_line(report) -> str:
     valid = "true" if report.valid else "false"
     return f"T={report.step_count} peak={report.peak_pebbles} valid={valid}"
 
 
 def cmd_strategy(args, limits) -> int:
+    from . import dp, strategy
+
     n, s = args.n, args.s
     if not dp.is_solvable(n, s):
         print(
@@ -140,12 +147,14 @@ def cmd_strategy(args, limits) -> int:
             file=sys.stderr,
         )
         return EXIT_UNSOLVABLE
-    s_eff = min(s, n)
-    tables = dp.build_table(n, s_eff, cell_budget=limits.cell_budget)
+    if s >= n:  # the ladder needs no table
+        splits, total = None, dp._ladder(n)
+    else:
+        tables = dp.build_table(n, s, cell_budget=limits.cell_budget)
+        splits, total = tables.m, tables.f[n][s]
     checker = strategy.ReplayChecker(n, budget=s)
-    chunks = strategy._emit(n, s, tables.m)
+    chunks = strategy._emit(n, s, splits)
     if args.emit == "intervals":
-        total = tables.f[n][s_eff]
         if total > limits.materialization_cap:
             raise ResourceLimitError(
                 f"interval view needs {total} moves materialized; cap is "
@@ -164,6 +173,8 @@ def cmd_strategy(args, limits) -> int:
 
 
 def cmd_verify(args, limits) -> int:
+    from . import strategy
+
     on_stdin = args.file in (None, "-")
     try:
         source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
@@ -187,6 +198,8 @@ def cmd_verify(args, limits) -> int:
 
 
 def cmd_oracle(args, limits) -> int:
+    from . import dp, oracle
+
     bfs = oracle.bfs_min_time(args.n, args.s)
     dp_value = dp.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
     agree = bfs == dp_value
@@ -200,6 +213,8 @@ def cmd_oracle(args, limits) -> int:
 
 
 def cmd_bounds(args, limits) -> int:
+    from . import analysis, dp
+
     s = args.s
     if s < 2:
         raise ValueError("bound evaluation needs S >= 2")
@@ -224,7 +239,7 @@ def cmd_bounds(args, limits) -> int:
             [
                 str(k),
                 str(record.x_lower),
-                "beyond" if record.x is BEYOND_TABLE else str(record.x),
+                "beyond" if record.x is analysis.BEYOND_TABLE else str(record.x),
                 str(record.x_upper),
                 str(lower_sum),
                 format_cost(f_lower),
@@ -239,6 +254,8 @@ def cmd_bounds(args, limits) -> int:
 
 
 def cmd_tsmin(args, limits) -> int:
+    from . import analysis
+
     record = analysis.min_ts_auto(args.n, cell_budget=limits.cell_budget)
     if math.isnan(record.ratio):
         print(f"S={record.best_s} F={record.best_f} TS={record.product}")
@@ -250,6 +267,8 @@ def cmd_tsmin(args, limits) -> int:
 
 
 def cmd_fgamma(args, limits) -> int:
+    from . import analysis, dp
+
     s = args.s
     if s < 1:
         raise ValueError("fgamma needs S >= 1")

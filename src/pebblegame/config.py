@@ -7,7 +7,7 @@ variable; command-line flags override values from the file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 CONFIG_ENV_VAR = "PEBBLEGAME_CONFIG"
 
@@ -17,8 +17,7 @@ DEFAULT_MATERIALIZATION_CAP = 2_000_000
 _KEYS = ("cell_budget", "materialization_cap")
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     cell_budget: int = DEFAULT_CELL_BUDGET
     materialization_cap: int = DEFAULT_MATERIALIZATION_CAP
 

@@ -35,16 +35,14 @@ from __future__ import annotations
 import bisect
 import collections
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import config
 from .cost import INFINITE, MAX_FINITE_COST, Cost
 from .errors import CostOverflowError, ResourceLimitError, TableRangeError
 
 
-@dataclass(frozen=True)
-class DpTables:
+class DpTables(NamedTuple):
     """Immutable cost and split tables for 1 <= n <= nmax, 1 <= S <= smax.
 
     ``f[n][s]`` is F(n, s); ``m[n][s]`` is the least optimal split, stored as
@@ -133,18 +131,31 @@ def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[tuple]:
         below = f
 
 
+def _ladder(n: int) -> int:
+    """F(n, S) for S >= n: 2n - 1, from placing squares 1..n and lifting n-1..1."""
+    if 2 * n - 1 > MAX_FINITE_COST:
+        raise CostOverflowError(f"F(n={n}, S>={n}) exceeds the 64-bit cap")
+    return 2 * n - 1
+
+
 def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
-    """F(n, s) and its least split (0 where undefined) from one layer pass."""
+    """F(n, s) and its least split (0 where undefined) from one layer pass.
+
+    Where s >= n no budget binds, and the answer is the ladder with split 1:
+    a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1).
+    """
     _validate(n, s)
     if s == 0:
         return INFINITE, 0
-    # Budgets beyond n can never bind (at most n squares hold pebbles).
-    layer_f, layer_m = collections.deque(_layers(n, min(s, n), cell_budget), maxlen=1)[0]
+    if s >= n:
+        return _ladder(n), 1 if n > 1 else 0
+    layer_f, layer_m = collections.deque(_layers(n, s, cell_budget), maxlen=1)[0]
     return layer_f[n], layer_m[n]
 
 
 def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """F(n, s) from one O(n * min(s, n)) layer pass.  S = 0 yields INFINITE."""
+    """F(n, s) from one O(n * s) layer pass, or 2n - 1 at once where s >= n.
+    S = 0 yields INFINITE."""
     return _cell(n, s, cell_budget)[0]
 
 
@@ -159,7 +170,9 @@ def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
     _check_int("S", s, 1)
     if n <= 0:
         return 0
-    layer = collections.deque(_layers(n + 1, min(s, n + 1), cell_budget), maxlen=1)[0][0]
+    if s > n:
+        return _ladder(n + 1) - _ladder(n)
+    layer = collections.deque(_layers(n + 1, s, cell_budget), maxlen=1)[0][0]
     if layer[n + 1] is INFINITE:
         return INFINITE
     return layer[n + 1] - layer[n]

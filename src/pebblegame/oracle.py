@@ -13,7 +13,6 @@ from collections import deque
 from . import dp
 from .cost import INFINITE, Cost
 from .errors import ResourceLimitError
-from .strategy import Move, Strategy
 
 MAX_ORACLE_SQUARES = 20
 
@@ -61,8 +60,10 @@ def bfs_min_time(n: int, s: int) -> Cost:
     return INFINITE if dist[target] == -1 else dist[target]
 
 
-def bfs_path(n: int, s: int) -> Strategy | None:
-    """A witness play of minimum length, or None when unreachable."""
+def bfs_path(n: int, s: int):
+    """A witness play of minimum length, as a ``Strategy``, or None when unreachable."""
+    from .strategy import Move, Strategy
+
     _validate(n, s)
     dist, parents, target = _search(n, s, track_parents=True)
     if dist[target] == -1:

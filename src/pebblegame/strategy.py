@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import config, dp
@@ -127,24 +126,34 @@ def _off_board(move, n: int) -> ValueError:
     return ValueError(f"move {move} references a square outside the {n}-square board")
 
 
-@dataclass(frozen=True)
-class Strategy:
+class _StrategyFields(NamedTuple):
+    n: int
+    moves: tuple
+
+
+class Strategy(_StrategyFields):
     """A move sequence on an n-square board.
 
     Construction checks square bounds only; legality of the sequence is the
     verifier's job, so arbitrary (even broken) sequences can be carried.
+    Like the other records, it is a named tuple, ``(n, moves)``; it refuses
+    attribute assignment, and keeps only its computed peak beside the fields.
     """
 
-    n: int
-    moves: tuple
+    def __new__(cls, n: int, moves: Iterable[Move]) -> "Strategy":
+        if n < 1:
+            raise ValueError(f"board size must be >= 1, got {n}")
+        moves = tuple(moves)
+        for move in moves:
+            if not 1 <= move.square <= n:
+                raise _off_board(move, n)
+        return super().__new__(cls, n, moves)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"board size must be >= 1, got {self.n}")
-        object.__setattr__(self, "moves", tuple(self.moves))
-        for move in self.moves:
-            if not 1 <= move.square <= self.n:
-                raise _off_board(move, self.n)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @functools.cached_property
     def peak_pebbles(self) -> int:
@@ -164,8 +173,7 @@ class Strategy:
         return format_moves(self.moves)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     step_count: int
     peak_pebbles: int
@@ -333,23 +341,26 @@ def iter_strategy_moves(
     long plays are never materialized and have no depth limit; the moves are
     those of the signed-square lists of ``_emit``.  Every subgame is at most
     (n, min(s, n)), so when ``tables`` do not cover that cell one table that
-    does is built up front.
+    does is built up front, unless s >= n: that play is the ladder, split 1
+    throughout, and needs no table.
     """
     if not dp.is_solvable(n, s):
         raise UnsolvableError(
             f"n={n} is not solvable with S={s} pebbles (limit is n <= 2**(S-1))"
         )
-    s_eff = min(s, n)
-    if tables is None or n > tables.nmax or s_eff > tables.smax:
-        tables = dp.build_table(n, s_eff)
-    return _moves_of(itertools.chain.from_iterable(_emit(n, s, tables.m)))
+    if tables is None or n > tables.nmax or min(s, n) > tables.smax:
+        tables = dp.build_table(n, s) if s < n else None
+    splits = None if tables is None else tables.m
+    return _moves_of(itertools.chain.from_iterable(_emit(n, s, splits)))
 
 
-def _emit(n: int, s: int, splits: tuple) -> Iterator[list]:
+def _emit(n: int, s: int, splits: tuple | None) -> Iterator[list]:
     """The play as lists of ``CHUNK`` signed squares (the last may be shorter), from a
     stack of (n, S, offset, backwards) subgames.  Parts are pushed reversed for a
     forward play (first part on top), as they are for a backwards one; the checked
-    1 <= m < n makes every part smaller, so the loop ends."""
+    1 <= m < n makes every part smaller, so the loop ends.  Without ``splits`` (None,
+    for a play with S >= n, whose every subgame has S >= n too) each split is 1, as
+    ``dp._cell`` gives there."""
     stack = [(n, s, 0, False)]
     chunk: list = []
     while stack:
@@ -360,7 +371,7 @@ def _emit(n: int, s: int, splits: tuple) -> Iterator[list]:
                 yield chunk
                 chunk = []
             continue
-        m = splits[n][min(s, n)]
+        m = 1 if splits is None else splits[n][min(s, n)]
         if not 1 <= m < n:
             raise UnsolvableError(f"no split for n={n}, S={s}")
         parts = (
@@ -402,8 +413,7 @@ def reverse_strategy(strategy: Strategy) -> Strategy:
     )
 
 
-@dataclass(frozen=True)
-class IntervalView:
+class IntervalView(NamedTuple):
     """Residence intervals per square over step indices.
 
     ``squares[i - 1]`` lists the intervals of square i as (start, end) pairs

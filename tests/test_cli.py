@@ -153,6 +153,23 @@ def test_strategy_deep_play_verifies(capsys):
     assert out.splitlines()[-1] == "T=1999 peak=1000 valid=true"
 
 
+def test_ladder_beyond_the_cell_budget(capsys):
+    # 5001 x 5001 cells exceed the default budget; S >= n needs none.
+    assert run(capsys, "cost", "5001", "5001") == (
+        0,
+        "F(5001,5001) = 10001\nm(5001,5001) = 1\n",
+        "",
+    )
+    code, out, err = run(capsys, "strategy", "5001", "5001", "--verify")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == "T=10001 peak=5001 valid=true"
+    assert lines[:-1] == [f"+{i}" for i in range(1, 5002)] + [f"-{i}" for i in range(5000, 0, -1)]
+    code, _, err = run(capsys, "strategy", "5001", "5002", "--emit", "intervals", "--max-moves", "10000")
+    assert code == 65
+    assert "needs 10001 moves" in err
+
+
 def test_strategy_unsolvable(capsys):
     code, out, err = run(capsys, "strategy", "5", "3")
     assert code == 2

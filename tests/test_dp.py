@@ -125,6 +125,36 @@ def test_delta_examples():
     assert delta(2, 2) is INFINITE  # F(3,2) is infinite
 
 
+def test_ladder_where_the_budget_covers_the_board(naive_reference):
+    """S >= n: F = 2n - 1 with least split 1, and delta = 2 once S > n; the
+    rows S <= n + 3 agree with the plain recursion on every route."""
+    for n in range(1, 65):
+        for s in range(1, n + 4):
+            cost, split = naive_reference(n, s)
+            if s >= n:
+                assert (cost, split) == (2 * n - 1, 1 if n > 1 else 0), (n, s)
+            _check_queries(n, s, cost, split, naive_reference(n + 1, s)[0])
+
+
+def test_ladder_needs_no_cell_budget():
+    # 5001 x 5001 cells would exceed the default budget.
+    assert f_cost(5001, 5001) == 10001
+    assert split_point(5001, 5002) == 1
+    assert f_cost(10**6, 10**6 + 7, cell_budget=1) == 2 * 10**6 - 1
+    assert delta(10**6, 10**6 + 1, cell_budget=1) == 2
+    with pytest.raises(ResourceLimitError):
+        delta(10**6, 10**6, cell_budget=1)  # F(n + 1, n) needs the layers
+
+
+def test_ladder_keeps_the_64_bit_cap():
+    n = 2**62
+    assert f_cost(n, n) == 2**63 - 1
+    with pytest.raises(CostOverflowError, match=r"^F\(n=4611686018427387905, S>="):
+        f_cost(n + 1, n + 1)
+    with pytest.raises(CostOverflowError):
+        delta(n, n + 1)
+
+
 def test_is_solvable_frontier():
     assert is_solvable(64, 7)
     assert not is_solvable(65, 7)

@@ -168,6 +168,17 @@ def test_synthesize_builds_one_table(monkeypatch):
     assert built == [(100, 8)]
 
 
+def test_ladder_builds_no_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("S >= n needs no table")
+
+    monkeypatch.setattr(dp, "build_table", no_table)
+    for n, s in [(1, 1), (2, 2), (7, 9), (300, 300)]:
+        ladder = [place(i) for i in range(1, n + 1)] + [remove(i) for i in range(n - 1, 0, -1)]
+        assert list(iter_strategy_moves(n, s)) == ladder, (n, s)
+        assert synthesize(n, s).moves == tuple(ladder), (n, s)
+
+
 def test_optimality_small_sweep():
     for n in range(1, 17):
         for s in range(1, 7):
