@@ -65,17 +65,30 @@ class TsRecord(NamedTuple):
     ratio: float  # log2(product / n) / (2 * sqrt(log2 n)); nan for n = 1
 
 
-def x_threshold(k: int, s: int, tables: dp.DpTables):
-    """Least n with delta(n, s) > 2**k, scanning the built table.
+def _layer(tables: dp.DpTables | dp.Layer, s: int) -> dp.Layer:
+    """Layer s of ``tables``: a dp.Layer as it is, or a DpTables column as runs."""
+    if not isinstance(tables, dp.Layer):
+        return tables.layer(s)
+    if tables.s != s:
+        raise TableRangeError(f"S={s} asked of the layer for S={tables.s}")
+    return tables
 
-    Returns BEYOND_TABLE when no n within the table witnesses the threshold.
+
+def x_threshold(k: int, s: int, tables: dp.DpTables | dp.Layer):
+    """Least n with delta(n, s) > 2**k: the start of the first slope run above
+    2**k, else the end of the finite part, whose delta is infinite.
+
+    ``tables`` is a DpTables or the dp.Layer for s.  Returns BEYOND_TABLE when
+    no n below the table's nmax witnesses the threshold.
     """
     _validate_ks(k, s, min_s=1)
-    bound = 2**k
-    for n in range(1, tables.nmax):
-        if dp.table_delta(tables, n, s) > bound:
+    layer = _layer(tables, s)
+    bound, n = 2**k, 1
+    for d, count in layer.runs:
+        if d > bound:
             return n
-    return BEYOND_TABLE
+        n += count
+    return n if n < layer.nmax else BEYOND_TABLE
 
 
 def x_lower(k: int, s: int) -> int:
@@ -109,7 +122,7 @@ def f_bound_upper_sum(k: int, s: int) -> int:
     return _checked(total, f"f_bound_upper_sum(k={k}, S={s})")
 
 
-def threshold_record(k: int, s: int, tables: dp.DpTables) -> ThresholdRecord:
+def threshold_record(k: int, s: int, tables: dp.DpTables | dp.Layer) -> ThresholdRecord:
     return ThresholdRecord(
         k=k, s=s, x=x_threshold(k, s, tables), x_lower=x_lower(k, s), x_upper=x_upper(k, s)
     )
@@ -132,8 +145,9 @@ def _board_size(h: float, s: int) -> int:
         raise TableRangeError(f"board size 2**({h}*S) at S={s} is beyond float range") from None
 
 
-def f_gamma(gamma: float, s: int, tables: dp.DpTables) -> float:
-    """Normalized log-cost (1/s) * log2 F(floor(2**(gamma*s)), s)."""
+def f_gamma(gamma: float, s: int, tables: dp.DpTables | dp.Layer) -> float:
+    """Normalized log-cost (1/s) * log2 F(floor(2**(gamma*s)), s), read from a
+    DpTables or from the dp.Layer for s."""
     dp._check_int("S", s, 1)
     n = _board_size(gamma, s)
     if n < 1:
@@ -142,7 +156,7 @@ def f_gamma(gamma: float, s: int, tables: dp.DpTables) -> float:
         raise TableRangeError(
             f"f_gamma(gamma={gamma}, S={s}) needs F({n}, {s}); table stops at nmax={tables.nmax}"
         )
-    value = tables.cost(n, s)
+    value = _layer(tables, s).cost(n)
     if value is INFINITE:
         raise UnsolvableError(f"f_gamma(gamma={gamma}, S={s}): F({n}, {s}) is infinite")
     return math.log2(value) / s
@@ -156,16 +170,17 @@ class FGammaRow(NamedTuple):
     gap: float | None  # f(H(gamma), s) - (gamma + H(gamma))
 
 
-def f_gamma_report(s: int, tables: dp.DpTables, gammas) -> list:
-    """Evaluate f at H(gamma) across a grid; infeasible points carry None."""
-    rows = []
+def f_gamma_report(s: int, tables: dp.DpTables | dp.Layer, gammas) -> list:
+    """Evaluate f at H(gamma) across a grid; infeasible points carry None.
+    ``tables`` is a DpTables or the dp.Layer for s."""
+    layer, rows = _layer(tables, s), []
     for gamma in gammas:
         h = entropy(gamma)
         n = _board_size(h, s)
-        if n < 1 or n > tables.nmax or not dp.is_solvable(n, s):
+        if n < 1 or n > layer.nmax or not dp.is_solvable(n, s):
             rows.append(FGammaRow(gamma=gamma, h=h, n=n, f_value=None, gap=None))
             continue
-        value = f_gamma(h, s, tables)
+        value = f_gamma(h, s, layer)
         rows.append(
             FGammaRow(gamma=gamma, h=h, n=n, f_value=value, gap=value - (gamma + h))
         )
@@ -209,7 +224,8 @@ def min_ts(n: int, tables: dp.DpTables) -> TsRecord:
 
 
 def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
-    """Exact min_ts(n) from one layer pass, stopped at the certifying budget, in O(n) memory.
+    """Exact min_ts(n) from one pass over run layers cut at n, stopped at the certifying
+    budget; each layer gives F(n, S) as a prefix sum of its runs.
 
     The cell budget bounds n * (the certifying S).  ResourceLimitError comes before any
     layer is filled when the budget cannot reach the least solvable S, else when it runs out.
@@ -219,7 +235,7 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     s_start = (n - 1).bit_length() + 1
     smax = min(n, budget // n)
     layers = dp._layers(n, smax, budget) if smax >= s_start else ()
-    record = _certify(n, (f[n] for f, _ in layers))
+    record = _certify(n, (layer.cost(n) for layer in layers))
     if record is None:
         raise ResourceLimitError(
             f"tsmin({n}) needs at least {n * max(smax + 1, s_start)} cells to certify "

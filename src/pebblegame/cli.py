@@ -222,7 +222,7 @@ def cmd_bounds(args, limits) -> int:
     if not 1 <= kmax <= s - 1:
         raise ValueError(f"kmax must be in [1, S-1]; got {kmax} for S={s}")
     nmax = analysis.x_upper(kmax, s) + 1
-    tables = dp.build_table(nmax, s, cell_budget=limits.cell_budget)
+    layer = dp._last_layer(nmax, s, limits.cell_budget)
     header = [
         "k", "x_lower", "x", "x_upper",
         "lower_sum", "F_lower", "le_ok",
@@ -230,11 +230,11 @@ def cmd_bounds(args, limits) -> int:
     ]
     rows = [header]
     for k in range(1, kmax + 1):
-        record = analysis.threshold_record(k, s, tables)
+        record = analysis.threshold_record(k, s, layer)
         lower_sum = analysis.f_bound_lower_sum(k, s)
         upper_sum = analysis.f_bound_upper_sum(k, s)
-        f_lower = tables.f[record.x_lower][s]
-        f_upper = tables.f[record.x_upper][s]
+        f_lower = layer.cost(record.x_lower)
+        f_upper = layer.cost(record.x_upper)
         rows.append(
             [
                 str(k),
@@ -282,9 +282,9 @@ def cmd_fgamma(args, limits) -> int:
         n = analysis._board_size(analysis.entropy(gamma), s)
         if 1 <= n <= solvable_cap:
             nmax = max(nmax, n)
-    tables = dp.build_table(nmax, s, cell_budget=limits.cell_budget)
+    layer = dp._last_layer(nmax, s, limits.cell_budget)
     print("gamma H n f gap")
-    for row in analysis.f_gamma_report(s, tables, gammas):
+    for row in analysis.f_gamma_report(s, layer, gammas):
         if row.f_value is None:
             print(f"{row.gamma:.4f} {row.h:.6f} {row.n} - -")
         else:

@@ -19,22 +19,26 @@ first stage in reverse.
 One evaluation route is provided: the recursion is filled layer by layer
 (one layer per pebble budget).  Writing G(m) = F(m, S) + F(m, S-1) and
 H(j) = F(j, S-1), a layer is the (min,+) convolution of G and H.  Both are
-convex, so the layer is a merge of their two sorted slope sequences in
-O(nmax) steps (Cygan, Mucha, Wegrzycki, Wlodarczyk, "On problems equivalent
-to (min,+)-convolution", ICALP 2017); ties go to H, which keeps the least
-split.  The finite part of a layer ends at n = 2**(S-1), where the merge
-runs out of finite terms; past it the layer is INFINITE padding.
-``build_table`` returns whole tables; ``f_cost``, ``split_point`` and
-``delta`` run one such pass up to the queried cell and keep no state between
-calls.  The test suite checks the layers against a plain recursion over
-every split.
+convex, so the slopes d(n) = F(n+1, S) - F(n, S) of a layer are the two
+sorted slope sequences of G and H merged (Cygan, Mucha, Wegrzycki,
+Wlodarczyk, "On problems equivalent to (min,+)-convolution", ICALP 2017);
+ties go to H, which keeps the least split.  Slopes are even and come in long
+runs, so a layer is kept as its (slope, count) runs, a few hundred where a
+board has tens of thousands of squares, and the merge steps a run at a time.
+The finite part of a layer ends at n = 2**(S-1), where the merge runs out of
+finite terms; past it F is INFINITE.  F(n, S) is a prefix sum over the runs
+and the least split a prefix count over the runs of the merge order.
+``build_table`` expands the runs into whole tables; ``f_cost``,
+``split_point`` and ``delta`` run one pass of S layers cut at the queried
+board and keep no state between calls.  The test suite checks the layers
+against a plain recursion over every split.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import itertools
+import operator
 from typing import Iterator, NamedTuple
 
 from . import config
@@ -64,11 +68,84 @@ class DpTables(NamedTuple):
         value = self.m[n][s]
         return value if value > 0 else None
 
+    def layer(self, s: int) -> Layer:
+        """Column s as a Layer: the runs of its slopes and of its merge order."""
+        self._check(1, s)
+        top = min(self.nmax, 2 ** (s - 1))
+        f = [row[s] for row in self.f[1 : top + 1]]
+        m = [row[s] for row in self.m[2 : top + 1]]
+        return Layer(
+            s, self.nmax, top, _runs(map(operator.sub, f[1:], f)),
+            _runs(map(operator.sub, m[1:], m)),
+        )
+
     def _check(self, n: int, s: int) -> None:
         if not 1 <= n <= self.nmax or not 1 <= s <= self.smax:
             raise TableRangeError(
                 f"(n={n}, S={s}) outside table extents ({self.nmax}, {self.smax})"
             )
+
+
+class Layer(NamedTuple):
+    """Layer S of F, cut at board size nmax, as the runs of its slopes.
+
+    ``top`` is the last finite n, min(2**(S-1), nmax); F is INFINITE past it.
+    ``runs`` holds, in order, the (d, count) runs of the slopes
+    d(n) = F(n+1, S) - F(n, S) for n = 1..top-1, so F(n, S) is 1 plus the
+    first n-1 slopes.  ``picks`` holds the (is_g, count) runs of the merge
+    that made them (``_next_layer``), is_g true for G slopes and false for
+    H slopes.  The least split at 2 <= n <= top is 1 plus the G picks among
+    the first n-2.  Layer 1 is (1, nmax, 1, (), ()).
+    """
+
+    s: int
+    nmax: int
+    top: int
+    runs: tuple
+    picks: tuple
+
+    def cost(self, n: int) -> Cost:
+        """F(n, S): 1 plus the first n-1 slopes."""
+        self._check(n)
+        return 1 + _prefix_sum(self.runs, n - 1) if n <= self.top else INFINITE
+
+    def split(self, n: int) -> int | None:
+        """Least optimal split at n; None when n <= 1 or F(n, S) is infinite."""
+        self._check(n)
+        return 1 + _prefix_sum(self.picks, n - 2) if 2 <= n <= self.top else None
+
+    def delta(self, n: int) -> Cost:
+        """F(n+1, S) - F(n, S), 0 for n <= 0; INFINITE at n = top."""
+        if n <= 0:
+            return 0
+        after = self.cost(n + 1)
+        return INFINITE if after is INFINITE else after - self.cost(n)
+
+    def costs(self) -> Iterator:
+        """F(n, S) for n = 0..nmax, with None at 0 and INFINITE past top."""
+        slopes = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.runs))
+        return itertools.chain(
+            [None], itertools.accumulate(slopes, initial=1),
+            itertools.repeat(INFINITE, self.nmax - self.top),
+        )
+
+    def splits(self) -> Iterator:
+        """The least split for n = 0..nmax, 0 where undefined."""
+        return itertools.chain(
+            [0, 0, 1][: self.top + 1], itertools.chain.from_iterable(self._split_runs()),
+            itertools.repeat(0, self.nmax - self.top),
+        )
+
+    def _split_runs(self) -> Iterator:
+        """The least splits for n = 3..top, a range per G run, a repeat per H run."""
+        m = 1
+        for is_g, count in self.picks:
+            yield range(m + 1, m + count + 1) if is_g else itertools.repeat(m, count)
+            m += is_g * count
+
+    def _check(self, n: int) -> None:
+        if not 1 <= n <= self.nmax:
+            raise TableRangeError(f"n={n} outside the layer for S={self.s} (nmax={self.nmax})")
 
 
 def _check_int(name: str, value, least: int | None = None) -> None:
@@ -84,51 +161,111 @@ def _validate(n: int, s: int) -> None:
     _check_int("S", s, 0)
 
 
-def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[tuple]:
-    """Yield the (F, least split) layers for S = 1..smax, each as it is filled.
+def _prefix_sum(runs, k: int) -> int:
+    """Sum of the first k values that the (value, count) ``runs`` stand for."""
+    total = 0
+    for value, count in runs:
+        if k <= count:
+            return total + value * k
+        total, k = total + value * count, k - count
+    return total
 
-    In the layer for S, ``f[n]`` is F(n, S) and ``m[n]`` the least optimal
-    split (0 where undefined); index 0 pads.  F(n, S) is the least
-    G(m) + H(n - m), G and H as in the module docstring.  Two pointers, m
-    and j = n - m, start at 1; after each cell the one whose term grows
-    less advances, and a tie advances j, so m stays the least split.  Both
-    stop at ``top``, the end of the finite part of the layer below
-    (2**(S-2), or nmax if less), so the merge never reads INFINITE, which
-    only pads each layer past its own finite part.  A consumer that keeps
-    only the last layer holds two at a time.
+
+def _runs(values) -> tuple:
+    """Equal neighbours of ``values`` as (value, count) pairs, in order."""
+    return tuple((value, sum(1 for _ in group)) for value, group in itertools.groupby(values))
+
+
+def _g_runs(values: list, counts: list, lower: tuple) -> Iterator[tuple]:
+    """Runs of the G slopes d_S(m) + d_{S-1}(m), m = 1, 2, ...: the slope runs
+    (values, counts) of layer S, read as the merge appends to them, added to
+    the runs of the layer below.  A run is cut where either term changes; the
+    caller takes each whole before it asks for the next."""
+    g = used = 0
+    for d, left in lower:
+        while left:
+            if used == counts[g]:
+                g, used = g + 1, 0
+            count = min(counts[g] - used, left)
+            yield values[g] + d, count
+            used, left = used + count, left - count
+
+
+def _next_layer(below: Layer, nmax: int) -> Layer:
+    """Layer S = below.s + 1, cut at nmax, as the merge of two slope sequences.
+
+    The H slopes are d_{S-1}(j), j = 1, 2, ...; the G slopes come from
+    ``_g_runs``, whose first term is an earlier output of this same merge
+    (d_S(1) = 2, and G never reads past the output's end).  Each step takes
+    the run at the head of H or of G, a tie going to H, so the least split
+    is kept.  Each merged slope is checked not to fall: the merge is the
+    minimum over splits only while F is convex in n.
+    """
+    s, top = below.s + 1, min(2 * below.top, nmax)
+    if top < 2:
+        return Layer(s, nmax, top, (), ())
+    values, counts, picks = [2], [1], []
+    h_runs, g_runs = iter(below.runs), _g_runs(values, counts, below.runs)
+    h, g = next(h_runs, None), next(g_runs, None)
+    left = top - 2
+    while left:
+        is_g = h is None or (g is not None and g[0] < h[0])
+        value, count = g if is_g else h
+        count = min(count, left)
+        if value > values[-1]:
+            values.append(value)
+            counts.append(count)
+        elif value == values[-1]:
+            counts[-1] += count
+        else:
+            raise ArithmeticError(
+                f"slope d(n={top - left}, S={s}) = {value} falls below {values[-1]}: "
+                "F is not convex in n"
+            )
+        if is_g:
+            g = next(g_runs, None)
+        else:
+            h = next(h_runs, None)
+        if picks and picks[-1][0] == is_g:
+            picks[-1] = (is_g, picks[-1][1] + count)
+        else:
+            picks.append((is_g, count))
+        left -= count
+    return Layer(s, nmax, top, tuple(zip(values, counts)), tuple(picks))
+
+
+def _check_cap(layer: Layer) -> None:
+    """CostOverflowError naming the first cell of ``layer`` over the 64-bit cap."""
+    n, value = 1, 1
+    for d, count in layer.runs:
+        if value + d * count > MAX_FINITE_COST:
+            n += (MAX_FINITE_COST - value) // d + 1
+            raise CostOverflowError(f"F(n={n}, S={layer.s}) exceeds the 64-bit cap")
+        n, value = n + count, value + d * count
+
+
+def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[Layer]:
+    """Yield the layers for S = 1..smax, each cut at nmax, as it is merged.
+
+    The cell budget bounds nmax * smax, the cells a table of these layers
+    would hold, and is checked before any layer is made.
     """
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     if nmax * smax > budget:
         raise ResourceLimitError(
             f"table of {nmax * smax} cells exceeds the cell budget ({budget})"
         )
+    layer = Layer(1, nmax, 1, (), ())
+    yield layer
+    for _ in range(2, smax + 1):
+        layer = _next_layer(layer, nmax)
+        _check_cap(layer)
+        yield layer
 
-    below, top = [None, 1] + [INFINITE] * (nmax - 1), 1
-    yield below, [0] * (nmax + 1)
 
-    for s in range(2, smax + 1):
-        f, split, m, j = [None, 1], [0, 0], 1, 1
-        while len(f) <= nmax:
-            f.append(f[m] + below[m] + below[j])
-            split.append(m)
-            if j < top and (
-                m == top
-                or below[j + 1] - below[j] <= f[m + 1] - f[m] + below[m + 1] - below[m]
-            ):
-                j += 1
-            elif m < top:
-                m += 1
-            else:
-                break
-        # F rises with n: if any cell passes the cap, the last one does.
-        if f[-1] > MAX_FINITE_COST:
-            n = bisect.bisect_right(f, MAX_FINITE_COST, 1)
-            raise CostOverflowError(f"F(n={n}, S={s}) exceeds the 64-bit cap")
-        top = len(f) - 1
-        f.extend([INFINITE] * (nmax - top))
-        split.extend([0] * (nmax - top))
-        yield f, split
-        below = f
+def _last_layer(nmax: int, s: int, cell_budget: int | None) -> Layer:
+    """Layer s cut at nmax, from one pass over the layers below it."""
+    return collections.deque(_layers(nmax, s, cell_budget), maxlen=1)[0]
 
 
 def _ladder(n: int) -> int:
@@ -149,13 +286,13 @@ def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
         return INFINITE, 0
     if s >= n:
         return _ladder(n), 1 if n > 1 else 0
-    layer_f, layer_m = collections.deque(_layers(n, s, cell_budget), maxlen=1)[0]
-    return layer_f[n], layer_m[n]
+    layer = _last_layer(n, s, cell_budget)
+    return layer.cost(n), layer.split(n) or 0
 
 
 def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """F(n, s) from one O(n * s) layer pass, or 2n - 1 at once where s >= n.
-    S = 0 yields INFINITE."""
+    """F(n, s) from one pass over s run layers cut at n, or 2n - 1 at once where
+    s >= n.  S = 0 yields INFINITE."""
     return _cell(n, s, cell_budget)[0]
 
 
@@ -172,10 +309,7 @@ def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
         return 0
     if s > n:
         return _ladder(n + 1) - _ladder(n)
-    layer = collections.deque(_layers(n + 1, s, cell_budget), maxlen=1)[0][0]
-    if layer[n + 1] is INFINITE:
-        return INFINITE
-    return layer[n + 1] - layer[n]
+    return _last_layer(n + 1, s, cell_budget).delta(n)
 
 
 def is_solvable(n: int, s: int) -> bool:
@@ -190,11 +324,12 @@ def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTa
     """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
     _check_int("nmax", nmax, 1)
     _check_int("smax", smax, 1)
-    layers_f, layers_m = zip(*_layers(nmax, smax, cell_budget))
-    # Transpose to (n, S) rows.  Index 0 of every layer is padding, so row 0
-    # comes out as padding; the leading repeat adds the padding column 0.
-    f = tuple(zip(itertools.repeat(None), *layers_f))
-    m = tuple(zip(itertools.repeat(0), *layers_m))
+    layers = list(_layers(nmax, smax, cell_budget))
+    # Zip the layers' columns, read lazily, into (n, S) rows: no column is
+    # held as a list.  Index 0 of every column is padding, so row 0 comes out
+    # as padding; the leading repeat adds the padding column 0.
+    f = tuple(zip(itertools.repeat(None), *[layer.costs() for layer in layers]))
+    m = tuple(zip(itertools.repeat(0), *[layer.splits() for layer in layers]))
     return DpTables(nmax=nmax, smax=smax, f=f, m=m)
 
 

@@ -311,7 +311,7 @@ def test_min_ts_validation(tables_100_20):
 
 
 def test_threshold_scan_matches_memo_delta(tables_100_20):
-    # table_delta is the scan's backbone; spot-check it against the per-query delta.
+    # Spot-check table_delta against the per-query delta.
     from pebblegame import delta
 
     for n, s in [(1, 3), (3, 3), (10, 5), (50, 7), (63, 7)]:

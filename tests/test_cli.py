@@ -437,3 +437,49 @@ def test_config_file_missing(capsys, monkeypatch):
     code, _, err = run(capsys, "cost", "2", "2")
     assert code == 64
     assert "config" in err
+
+
+# SHA-256 of stdout, with exit code 0 and empty stderr, as the per-cell layer
+# pass wrote them before layers became slope runs.
+PINNED_DIGESTS = [
+    (("table", "2000", "16", "--format", "csv"),
+     "4f38c79188bf3024cb08f193980665a582f33c2096c4ac8a63b8778009e11ee1"),
+    (("table", "300", "12"),
+     "726cc9915efcf5b54323d5af413958a143adbe947e4a2093cf0d3d49be3de73f"),
+    (("bounds", "17"),
+     "9afd568d6cfd78daf8ee4275aaf43d60c4bd412f022f090ae635a90648837340"),
+    (("bounds", "12", "--kmax", "5"),
+     "277c5bae550dabdb83560bd164a82caac5f55eaabc130f10d7c4c4b77ee81c7d"),
+    (("fgamma", "18"),
+     "1477f3b0cf24033484e418b9d0fa71aeab2ad30a044f62fb19b6d0ec902e2d36"),
+    (("fgamma", "9", "--points", "7"),
+     "24c9c11282b48fcb78de1ab0ea666dcc02a16420baa6bef03daa9da180200fae"),
+    (("tsmin", "20000"),
+     "fc8ccfca23fa34a3649b970df38380088a41d59499fdd1a01ea4d1589da2fee2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_DIGESTS, ids=[" ".join(argv) for argv, _ in PINNED_DIGESTS]
+)
+def test_outputs_pinned_by_digest(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ("tsmin", "20000", "--cell-budget", "2000000"),
+            "resource limit: tsmin(20000) needs at least 2020000 cells to certify its "
+            "minimum; the cell budget is 2000000\n",
+        ),
+        (
+            ("fgamma", "18", "--cell-budget", "10"),
+            "resource limit: table of 2308014 cells exceeds the cell budget (10)\n",
+        ),
+    ],
+)
+def test_limit_messages_pinned(capsys, argv, err):
+    assert run(capsys, *argv) == (65, "", err)

@@ -187,9 +187,9 @@ def test_build_table_shape_and_padding(nmax, smax):
         assert all(type(row) is tuple and len(row) == smax + 1 for row in rows)
         assert rows[0] == (pad,) * (smax + 1)
         assert all(row[0] is pad for row in rows)
-    for s, (layer_f, layer_m) in enumerate(dp._layers(nmax, smax, None), 1):
-        assert [row[s] for row in tables.f[1:]] == layer_f[1:], s
-        assert [row[s] for row in tables.m[1:]] == layer_m[1:], s
+    for s, layer in enumerate(dp._layers(nmax, smax, None), 1):
+        assert [row[s] for row in tables.f[1:]] == list(layer.costs())[1:], s
+        assert [row[s] for row in tables.m[1:]] == list(layer.splits())[1:], s
 
 
 def test_build_table_structural_invariants(tables_100_20):
@@ -339,3 +339,65 @@ def test_query_routes_agree_with_large_table(tables_2048_16, case):
     t = tables_2048_16
     s_eff = min(s, n)
     _check_queries(n, s, t.f[n][s_eff], t.m[n][s_eff], t.f[n + 1][min(s, n + 1)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.integers(1, 70))
+def test_run_layers_expand_to_the_naive_reference(naive_reference, nmax, smax):
+    """Every layer, expanded, holds F and the least split of the plain recursion
+    on every cell, with None / 0 at n = 0 and INFINITE / 0 past its finite end."""
+    for s, layer in enumerate(dp._layers(nmax, smax, None), 1):
+        assert (layer.s, layer.nmax, layer.top) == (s, nmax, min(nmax, 2 ** (s - 1)))
+        expected = [naive_reference(n, s) for n in range(1, nmax + 1)]
+        assert list(layer.costs()) == [None] + [cost for cost, _ in expected], s
+        assert list(layer.splits()) == [0] + [split for _, split in expected], s
+        for n, (cost, split) in enumerate(expected, 1):
+            assert (layer.cost(n), layer.split(n)) == (cost, split or None), (n, s)
+
+
+@pytest.fixture(scope="module")
+def layers_2048_16():
+    return list(dp._layers(2048, 16, None))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.integers(1, 2048), st.integers(0, 16))
+def test_run_layer_reads_match_table_reads(tables_2048_16, layers_2048_16, s, n, k):
+    """Cost, split, delta and threshold read from runs equal the reads of the
+    built table, including the threshold's scan over table_delta."""
+    from pebblegame.analysis import BEYOND_TABLE, x_threshold
+
+    t, layer = tables_2048_16, layers_2048_16[s - 1]
+    assert layer.cost(n) == t.cost(n, s)
+    assert layer.split(n) == t.split(n, s)
+    if n < t.nmax:
+        assert layer.delta(n) == table_delta(t, n, s)
+    scan = next((x for x in range(1, t.nmax) if table_delta(t, x, s) > 2**k), BEYOND_TABLE)
+    assert x_threshold(k, s, layer) == x_threshold(k, s, t) == scan
+    assert t.layer(s) == layer
+
+
+def test_run_layer_edges(layers_2048_16):
+    from pebblegame.analysis import BEYOND_TABLE, x_threshold
+
+    assert x_threshold(2, 1, layers_2048_16[0]) == 1  # delta(1, 1) is infinite
+    for s, layer in enumerate(layers_2048_16[:11], 1):
+        top = 2 ** (s - 1)
+        assert layer.top == top and layer.delta(top) is INFINITE, s
+        assert layer.delta(0) == 0 and layer.cost(top + 1) is INFINITE
+    small = dp._last_layer(4, 8, None)
+    assert x_threshold(5, 8, small) is BEYOND_TABLE
+    assert x_threshold(5, 8, build_table(4, 8)) is BEYOND_TABLE
+    with pytest.raises(TableRangeError):
+        small.cost(5)
+    with pytest.raises(TableRangeError):
+        small.delta(4)  # F(5, 8) lies past the cut
+    with pytest.raises(TableRangeError):
+        x_threshold(1, 7, small)
+
+
+def test_merge_rejects_a_slope_that_falls():
+    # F(1..4, 2) would be 1, 3, 9, 13: slopes 2, 6, 4, not convex.
+    below = dp.Layer(2, 10, 4, ((2, 1), (6, 1), (4, 1)), ((0, 1), (1, 1)))
+    with pytest.raises(ArithmeticError, match=r"^slope d\(n=5, S=3\) = 4 falls below 6: "):
+        dp._next_layer(below, 10)
