@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import sys
 
@@ -112,23 +113,32 @@ def _aligned(rows: list) -> str:
     return "".join(" ".join(map(str.rjust, row, widths)) + "\n" for row in rows)
 
 
-def _render_table(tables, fmt: str) -> str:
-    header = ["n"] + [f"S={s}" for s in range(1, tables.smax + 1)]
-    rows = [header]
-    for n in range(1, tables.nmax + 1):
-        rows.append([str(n)] + [format_cost(tables.f[n][s]) for s in range(1, tables.smax + 1)])
-    if fmt == "csv":
-        return "".join(",".join(row) + "\n" for row in rows)
-    if fmt == "tsv":
-        return "".join("\t".join(row) + "\n" for row in rows)
-    return _aligned(rows)
+# Rows of `table` formatted and written at a time.
+TABLE_BLOCK = 2048
 
 
 def cmd_table(args, limits) -> int:
     from . import dp
 
-    tables = dp.build_table(args.nmax, args.smax, cell_budget=limits.cell_budget)
-    sys.stdout.write(_render_table(tables, args.format))
+    nmax = args.nmax
+    layers = dp._table_layers(nmax, args.smax, limits.cell_budget)
+    header = ["n"] + [f"S={layer.s}" for layer in layers]
+    if args.format == "plain":
+        # F rises in n, so a column is as wide as its header or its last
+        # finite cell; "inf" is no wider than "S=1", nor "n" than nmax.
+        widths = [len(str(nmax))] + [
+            max(len(head), len(str(layer.cost(layer.top))))
+            for head, layer in zip(header[1:], layers)
+        ]
+        line = " ".join(f"%{width}s" for width in widths) + "\n"
+    else:
+        line = {"csv": ",", "tsv": "\t"}[args.format].join(["%s"] * len(header)) + "\n"
+    # Each layer's costs() is padded at n = 0, so row 0 is skipped.
+    rows = itertools.islice(zip(itertools.count(), *[layer.costs() for layer in layers]), 1, None)
+    write = sys.stdout.write
+    write(line % tuple(header))
+    while block := list(itertools.islice(rows, TABLE_BLOCK)):
+        write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
     return EXIT_OK
 
 
@@ -147,13 +157,9 @@ def cmd_strategy(args, limits) -> int:
             file=sys.stderr,
         )
         return EXIT_UNSOLVABLE
-    if s >= n:  # the ladder needs no table
-        splits, total = None, dp._ladder(n)
-    else:
-        tables = dp.build_table(n, s, cell_budget=limits.cell_budget)
-        splits, total = tables.m, tables.f[n][s]
+    split, total = strategy._play_splits(n, s, limits.cell_budget)
     checker = strategy.ReplayChecker(n, budget=s)
-    chunks = strategy._emit(n, s, splits)
+    chunks = strategy._emit(n, s, split)
     if args.emit == "intervals":
         if total > limits.materialization_cap:
             raise ResourceLimitError(

@@ -28,18 +28,21 @@ board has tens of thousands of squares, and the merge steps a run at a time.
 The finite part of a layer ends at n = 2**(S-1), where the merge runs out of
 finite terms; past it F is INFINITE.  F(n, S) is a prefix sum over the runs
 and the least split a prefix count over the runs of the merge order.
-``build_table`` expands the runs into whole tables; ``f_cost``,
-``split_point`` and ``delta`` run one pass of S layers cut at the queried
-board and keep no state between calls.  The test suite checks the layers
+``build_table`` expands the runs into whole tables, for the library API
+and the tests only: the ``table`` command streams rows from the layers, and
+``strategy`` reads its splits from a bisect index over their merge-order
+runs (``_split_index``).  ``f_cost``, ``split_point`` and ``delta`` run one
+pass of S layers cut at the queried board and keep no state between calls.  The test suite checks the layers
 against a plain recursion over every split.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import operator
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import config
 from .cost import INFINITE, MAX_FINITE_COST, Cost
@@ -320,11 +323,45 @@ def is_solvable(n: int, s: int) -> bool:
     return (n - 1).bit_length() <= s - 1
 
 
-def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:
-    """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
+def _table_layers(nmax: int, smax: int, cell_budget: int | None) -> list:
+    """The layers for S = 1..smax cut at nmax, after the checks on a table's extents."""
     _check_int("nmax", nmax, 1)
     _check_int("smax", smax, 1)
-    layers = list(_layers(nmax, smax, cell_budget))
+    return list(_layers(nmax, smax, cell_budget))
+
+
+def _split_index(layers: list) -> Callable[[int, int], int]:
+    """The least split at (n, S) from ``layers`` (layer S at index S - 1), 0 where
+    n <= 1 or F(n, S) is infinite, as ``Layer.split`` gives it, found by bisect.
+
+    Each layer's index holds, for n = 2 and for each run of its merge order
+    (n = 3..top), the run's first n, the split there and whether it is a G run.
+    Along a G run the split rises by one per square; along an H run it stays.
+    """
+    index = []
+    for layer in layers:
+        starts, bases, is_gs = [2], [1], [False]
+        n, m = 3, 1
+        for is_g, count in layer.picks:
+            starts.append(n)
+            bases.append(m)
+            is_gs.append(is_g)
+            n, m = n + count, m + is_g * count
+        index.append((layer.top, starts, bases, is_gs))
+
+    def split(n: int, s: int) -> int:
+        top, starts, bases, is_gs = index[s - 1]
+        if not 2 <= n <= top:
+            return 0
+        i = bisect.bisect_right(starts, n) - 1
+        return bases[i] + (n - starts[i] + 1) if is_gs[i] else bases[i]
+
+    return split
+
+
+def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:
+    """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
+    layers = _table_layers(nmax, smax, cell_budget)
     # Zip the layers' columns, read lazily, into (n, S) rows: no column is
     # held as a list.  Index 0 of every column is padding, so row 0 comes out
     # as padding; the leading repeat adds the padding column 0.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import config, dp
 from .errors import ResourceLimitError, UnsolvableError
@@ -111,15 +111,6 @@ def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
             *lines, carry = text.splitlines(keepends=True)
             yield from _parse_lines(lines)
     yield from _parse_lines(carry.splitlines())
-
-
-def _iter_moves(stream, size: int = 1 << 16) -> Iterator[Move]:
-    """The moves of ``_iter_chunks``, one at a time."""
-    for chunk in _iter_chunks(stream, size):
-        if isinstance(chunk, list):
-            yield from _moves_of(chunk)
-        else:
-            yield chunk
 
 
 def _off_board(move, n: int) -> ValueError:
@@ -340,29 +331,40 @@ def iter_strategy_moves(
     in reverse order, each backwards.  Emission is lazy and iterative, so very
     long plays are never materialized and have no depth limit; the moves are
     those of the signed-square lists of ``_emit``.  Every subgame is at most
-    (n, min(s, n)), so when ``tables`` do not cover that cell one table that
-    does is built up front, unless s >= n: that play is the ladder, split 1
-    throughout, and needs no table.
+    (n, min(s, n)), so ``tables`` that cover that cell give the splits;
+    otherwise they come from ``_play_splits``.
     """
     if not dp.is_solvable(n, s):
         raise UnsolvableError(
             f"n={n} is not solvable with S={s} pebbles (limit is n <= 2**(S-1))"
         )
-    if tables is None or n > tables.nmax or min(s, n) > tables.smax:
-        tables = dp.build_table(n, s) if s < n else None
-    splits = None if tables is None else tables.m
-    return _moves_of(itertools.chain.from_iterable(_emit(n, s, splits)))
+    if tables is not None and n <= tables.nmax and min(s, n) <= tables.smax:
+        split = lambda n, s: tables.m[n][s]
+    else:
+        split = _play_splits(n, s, None)[0]
+    return _moves_of(itertools.chain.from_iterable(_emit(n, s, split)))
 
 
-def _emit(n: int, s: int, splits: tuple | None) -> Iterator[list]:
+def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
+    """The least split at every subgame of the solvable (n, s) play, as a function
+    of (n, S) for S <= n, and F(n, s), the play's length.  Where s >= n the play
+    is the ladder, split 1 throughout; otherwise the splits come from the run
+    layers cut at n, under the same cell budget as a table of them."""
+    if s >= n:
+        return (lambda n, s: 1), dp._ladder(n)
+    layers = list(dp._layers(n, s, cell_budget))
+    return dp._split_index(layers), layers[-1].cost(n)
+
+
+def _emit(n: int, s: int, split: Callable[[int, int], int]) -> Iterator[list]:
     """The play as lists of ``CHUNK`` signed squares (the last may be shorter), from a
     stack of (n, S, offset, backwards) subgames.  Parts are pushed reversed for a
     forward play (first part on top), as they are for a backwards one; the checked
-    1 <= m < n makes every part smaller, so the loop ends.  Without ``splits`` (None,
-    for a play with S >= n, whose every subgame has S >= n too) each split is 1, as
-    ``dp._cell`` gives there."""
+    1 <= m < n makes every part smaller, so the loop ends.  The split of a subgame
+    is ``split(n, min(S, n))``, asked once per (n, S) of the play."""
     stack = [(n, s, 0, False)]
     chunk: list = []
+    splits: dict = {}
     while stack:
         n, s, offset, backwards = stack.pop()
         if n == 1:
@@ -371,9 +373,12 @@ def _emit(n: int, s: int, splits: tuple | None) -> Iterator[list]:
                 yield chunk
                 chunk = []
             continue
-        m = 1 if splits is None else splits[n][min(s, n)]
-        if not 1 <= m < n:
-            raise UnsolvableError(f"no split for n={n}, S={s}")
+        try:
+            m = splits[n, s]
+        except KeyError:
+            m = splits[n, s] = split(n, min(s, n))
+            if not 1 <= m < n:
+                raise UnsolvableError(f"no split for n={n}, S={s}") from None
         parts = (
             (m, s, offset, backwards),
             (n - m, s - 1, offset + m, backwards),

@@ -2,6 +2,9 @@
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from pebblegame import (
     to_intervals,
     verify,
 )
+from pebblegame import dp
 from pebblegame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -456,13 +460,38 @@ PINNED_DIGESTS = [
      "24c9c11282b48fcb78de1ab0ea666dcc02a16420baa6bef03daa9da180200fae"),
     (("tsmin", "20000"),
      "fc8ccfca23fa34a3649b970df38380088a41d59499fdd1a01ea4d1589da2fee2"),
+    # Tables as the rendering of a whole built table wrote them.  Plain: the
+    # width of column S=8 of `table 200 9` is set by F(128, 8), above its
+    # "inf" padding; the columns of `table 9 12` are as wide as their
+    # headers; `table 4097 14` spans three blocks of rows.
+    (("table", "4097", "14"),
+     "33a572f5baa5f04b3d7778756565ca0050f09e242638d765129657efe6e45f08"),
+    (("table", "200", "9"),
+     "ef640dc4d7584c51009f980cb5fea2094aee933ae542b157a425fdaf7d31edee"),
+    (("table", "9", "12"),
+     "76ec68cdc1059306834c1a4404e7e814001d6538bafc9b75009ba4ec3f0d1b35"),
+    (("table", "1", "1"),
+     "f73b60d0870bd2f9c00cb313a4acf5095db17f687dc07aa64f66266d23a0ed9e"),
+    (("table", "10", "4", "--format", "tsv"),
+     "3db12491503a903d7cabb300f725cdd47bfcf33ceb08a8ef26dd966b00ddf087"),
+    # Plays as the emitter wrote them while it read its splits from a built table.
+    (("strategy", "100", "8"),
+     "66ac64e648daf944e1289c8f508eacd24dc04a7cdfb418209bab03b4fc5af469"),
+    (("strategy", "100", "8", "--verify"),
+     "78f33069aa6f396af38279e375dd94527497d8ac06afc7b02dd9b00e8de4a0c4"),
+    (("strategy", "33", "7", "--emit", "intervals", "--verify"),
+     "1bbe704245f1d51e93663cb87712012a4919cef97502d63d3c80a034639994a2"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest", PINNED_DIGESTS, ids=[" ".join(argv) for argv, _ in PINNED_DIGESTS]
 )
-def test_outputs_pinned_by_digest(capsys, argv, digest):
+def test_outputs_pinned_by_digest(capsys, monkeypatch, argv, digest):
+    def no_table(*args, **kwargs):
+        raise AssertionError("no command builds a table")
+
+    monkeypatch.setattr(dp, "build_table", no_table)
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
@@ -479,7 +508,68 @@ def test_outputs_pinned_by_digest(capsys, argv, digest):
             ("fgamma", "18", "--cell-budget", "10"),
             "resource limit: table of 2308014 cells exceeds the cell budget (10)\n",
         ),
+        # Neither command fills a table, but the budget still counts its cells.
+        (
+            ("table", "50", "50", "--format", "csv", "--cell-budget", "2499"),
+            "resource limit: table of 2500 cells exceeds the cell budget (2499)\n",
+        ),
+        (
+            ("strategy", "100", "8", "--verify", "--cell-budget", "799"),
+            "resource limit: table of 800 cells exceeds the cell budget (799)\n",
+        ),
     ],
 )
 def test_limit_messages_pinned(capsys, argv, err):
     assert run(capsys, *argv) == (65, "", err)
+
+
+# Runs the CLI on the arguments after ``-c``, then writes its exit code and its
+# own peak RSS (VmHWM, in kB) to stderr.  A cut pipe ends the run as it would
+# at a shell's ``| head``.
+HWM_PROBE = """\
+import os, sys
+from pebblegame.cli import main
+code = main(sys.argv[1:])
+try:
+    sys.stdout.flush()
+except BrokenPipeError:
+    pass
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+sys.stderr.write(f"exit={code} hwm_kb={hwm}\\n")
+sys.stderr.flush()
+os._exit(0)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize(
+    "argv, cut_lines",
+    [
+        (("table", "100000", "24", "--format", "csv"), None),
+        (("strategy", "1048576", "21"), 1_000_000),
+    ],
+    ids=["table 100000 24 --format csv", "strategy 1048576 21 | head -1000000"],
+)
+def test_peak_memory_of_large_runs(argv, cut_lines):
+    # VmHWM is the child's own peak; ru_maxrss of a child started by
+    # subprocess can carry the parent's high-water mark.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-c", HWM_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        lines = 0
+        while (cut_lines is None or lines < cut_lines) and (block := child.stdout.read(1 << 16)):
+            lines += block.count(b"\n")
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 0, err
+    assert lines >= (cut_lines or 100_001)
+    summary = err.splitlines()[-1]
+    code, hwm_kb = (int(field.split("=")[1]) for field in summary.split())
+    assert code == 0, err
+    assert hwm_kb < 40 * 1024, summary

@@ -377,6 +377,18 @@ def test_run_layer_reads_match_table_reads(tables_2048_16, layers_2048_16, s, n,
     assert t.layer(s) == layer
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 2048), st.integers(1, 16))
+def test_split_index_matches_layer_split(nmax, smax):
+    """The bisect index over the pick runs gives each layer's least split at
+    every n, 0 where Layer.split gives None."""
+    layers = list(dp._layers(nmax, smax, None))
+    split = dp._split_index(layers)
+    for layer in layers:
+        for n in range(1, nmax + 1):
+            assert split(n, layer.s) == (layer.split(n) or 0), (n, layer.s)
+
+
 def test_run_layer_edges(layers_2048_16):
     from pebblegame.analysis import BEYOND_TABLE, x_threshold
 

@@ -26,7 +26,7 @@ from pebblegame import (
 from pebblegame.strategy import (
     Move,
     _iter_chunks,
-    _iter_moves,
+    _moves_of,
     ReplayChecker,
     Strategy,
     format_moves,
@@ -150,22 +150,19 @@ def test_tables_route_matches_memo_route():
 
 @pytest.mark.parametrize("n, s", [(2, 2), (5, 4), (16, 5), (33, 7), (100, 20)])
 def test_strategy_tables_fallback(n, s):
-    # No tables and undersized tables both fall back to one full table.
+    # No tables and undersized tables both fall back to the run layers.
     expected = list(iter_strategy_moves(n, s, tables=build_table(n, min(s, n))))
     assert list(iter_strategy_moves(n, s)) == expected
     assert list(iter_strategy_moves(n, s, tables=build_table(n // 2, s))) == expected
 
 
-def test_synthesize_builds_one_table(monkeypatch):
-    built = []
+def test_synthesize_builds_no_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("splits come from the run layers")
 
-    def counting_build_table(nmax, smax, **kwargs):
-        built.append((nmax, smax))
-        return build_table(nmax, smax, **kwargs)
-
-    monkeypatch.setattr(dp, "build_table", counting_build_table)
+    monkeypatch.setattr(dp, "build_table", no_table)
     assert synthesize(100, 8).step_count == 833
-    assert built == [(100, 8)]
+    assert list(iter_strategy_moves(100, 8)) == list(synthesize(100, 8).moves)
 
 
 def test_ladder_builds_no_table(monkeypatch):
@@ -491,6 +488,15 @@ text_pieces = st.sampled_from(
     ["\n", "\r\n", "\r", "\x0c", " ", "   ", "\n\n", "+1", "-2", "+13", "+0", "-0",
      "+01", "-007", "+" + "9" * 40, "-" + "1" * 40, "zz", "+", "1", "+-1"]
 )
+
+
+def _iter_moves(stream, size: int = 1 << 16):
+    """The moves of ``_iter_chunks``, one at a time."""
+    for chunk in _iter_chunks(stream, size):
+        if isinstance(chunk, list):
+            yield from _moves_of(chunk)
+        else:
+            yield chunk
 
 
 def _plain_block(count: int, seed: int) -> str:
