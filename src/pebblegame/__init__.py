@@ -28,7 +28,7 @@ _EXPORTS = {
         "x_upper",
     ),
     "config": (),
-    "cost": ("INFINITE", "MAX_FINITE_COST", "Cost", "format_cost", "is_finite", "parse_cost"),
+    "cost": ("INFINITE", "MAX_FINITE_COST", "Cost", "format_cost", "parse_cost"),
     "dp": (
         "DpTables",
         "build_table",

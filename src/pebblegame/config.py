@@ -39,8 +39,6 @@ def parse_config_text(text: str) -> dict:
             number = int(value.strip())
         except ValueError:
             raise ValueError(f"config line {lineno}: {key} must be an integer") from None
-        if number < 1:
-            raise ValueError(f"config line {lineno}: {key} must be positive")
         values[key] = number
     return values
 
@@ -50,7 +48,11 @@ def load_limits(
     materialization_cap: int | None = None,
     env: dict | None = None,
 ) -> Limits:
-    """Resolve limits: explicit argument > config file > built-in default."""
+    """Resolve limits: explicit argument > config file > built-in default.
+
+    Every value given, by argument or in the file, must be positive: ValueError
+    otherwise, even where an argument overrides the file's value.
+    """
     env = os.environ if env is None else env
     from_file: dict = {}
     path = env.get(CONFIG_ENV_VAR)
@@ -60,15 +62,13 @@ def load_limits(
                 from_file = parse_config_text(handle.read())
         except OSError as exc:
             raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
-    return Limits(
-        cell_budget=(
-            cell_budget
-            if cell_budget is not None
-            else from_file.get("cell_budget", DEFAULT_CELL_BUDGET)
-        ),
-        materialization_cap=(
-            materialization_cap
-            if materialization_cap is not None
-            else from_file.get("materialization_cap", DEFAULT_MATERIALIZATION_CAP)
-        ),
-    )
+    given = {
+        key: value
+        for key, value in zip(Limits._fields, (cell_budget, materialization_cap))
+        if value is not None
+    }
+    for source, values in ((f"config file {path!r}: ", from_file), ("", given)):
+        for key, value in values.items():
+            if value < 1:
+                raise ValueError(f"{source}{key} must be positive, got {value}")
+    return Limits(**{**from_file, **given})

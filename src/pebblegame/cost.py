@@ -50,10 +50,6 @@ INFINITE = InfiniteCost()
 Cost = Union[int, InfiniteCost]
 
 
-def is_finite(cost: Cost) -> bool:
-    return cost is not INFINITE
-
-
 def cost_sum(*terms: Cost) -> Cost:
     """Add costs; any infinite term makes the sum infinite."""
     total = 0

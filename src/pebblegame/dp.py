@@ -28,21 +28,19 @@ board has tens of thousands of squares, and the merge steps a run at a time.
 The finite part of a layer ends at n = 2**(S-1), where the merge runs out of
 finite terms; past it F is INFINITE.  F(n, S) is a prefix sum over the runs
 and the least split a prefix count over the runs of the merge order.
-``build_table`` expands the runs into whole tables, for the library API
-and the tests only: the ``table`` command streams rows from the layers, and
-``strategy`` reads its splits from a bisect index over their merge-order
-runs (``_split_index``).  ``f_cost``, ``split_point`` and ``delta`` run one
-pass of S layers cut at the queried board and keep no state between calls.  The test suite checks the layers
-against a plain recursion over every split.
+``Layer`` is the one reader of the runs.  ``build_table`` expands them into
+whole tables, for the library API and the tests only: the ``table`` command
+streams rows from the layers, and ``strategy`` asks ``Layer.split`` for the
+split of each subgame.  ``f_cost``, ``split_point`` and ``delta`` run one
+pass of S layers cut at the queried board and keep no state between calls.
+The test suite checks the layers against a plain recursion over every split.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import itertools
-import operator
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import config
 from .cost import INFINITE, MAX_FINITE_COST, Cost
@@ -72,15 +70,9 @@ class DpTables(NamedTuple):
         return value if value > 0 else None
 
     def layer(self, s: int) -> Layer:
-        """Column s as a Layer: the runs of its slopes and of its merge order."""
+        """Column s as a Layer, merged again by one pass of s layers cut at nmax."""
         self._check(1, s)
-        top = min(self.nmax, 2 ** (s - 1))
-        f = [row[s] for row in self.f[1 : top + 1]]
-        m = [row[s] for row in self.m[2 : top + 1]]
-        return Layer(
-            s, self.nmax, top, _runs(map(operator.sub, f[1:], f)),
-            _runs(map(operator.sub, m[1:], m)),
-        )
+        return _last_layer(self.nmax, s, self.nmax * s)
 
     def _check(self, n: int, s: int) -> None:
         if not 1 <= n <= self.nmax or not 1 <= s <= self.smax:
@@ -172,11 +164,6 @@ def _prefix_sum(runs, k: int) -> int:
             return total + value * k
         total, k = total + value * count, k - count
     return total
-
-
-def _runs(values) -> tuple:
-    """Equal neighbours of ``values`` as (value, count) pairs, in order."""
-    return tuple((value, sum(1 for _ in group)) for value, group in itertools.groupby(values))
 
 
 def _g_runs(values: list, counts: list, lower: tuple) -> Iterator[tuple]:
@@ -328,35 +315,6 @@ def _table_layers(nmax: int, smax: int, cell_budget: int | None) -> list:
     _check_int("nmax", nmax, 1)
     _check_int("smax", smax, 1)
     return list(_layers(nmax, smax, cell_budget))
-
-
-def _split_index(layers: list) -> Callable[[int, int], int]:
-    """The least split at (n, S) from ``layers`` (layer S at index S - 1), 0 where
-    n <= 1 or F(n, S) is infinite, as ``Layer.split`` gives it, found by bisect.
-
-    Each layer's index holds, for n = 2 and for each run of its merge order
-    (n = 3..top), the run's first n, the split there and whether it is a G run.
-    Along a G run the split rises by one per square; along an H run it stays.
-    """
-    index = []
-    for layer in layers:
-        starts, bases, is_gs = [2], [1], [False]
-        n, m = 3, 1
-        for is_g, count in layer.picks:
-            starts.append(n)
-            bases.append(m)
-            is_gs.append(is_g)
-            n, m = n + count, m + is_g * count
-        index.append((layer.top, starts, bases, is_gs))
-
-    def split(n: int, s: int) -> int:
-        top, starts, bases, is_gs = index[s - 1]
-        if not 2 <= n <= top:
-            return 0
-        i = bisect.bisect_right(starts, n) - 1
-        return bases[i] + (n - starts[i] + 1) if is_gs[i] else bases[i]
-
-    return split
 
 
 def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:

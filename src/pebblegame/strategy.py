@@ -320,9 +320,7 @@ def verify(strategy: Strategy, budget: int) -> VerificationReport:
     return checker.finish(expected=frozenset({strategy.n}))
 
 
-def iter_strategy_moves(
-    n: int, s: int, *, tables: dp.DpTables | None = None
-) -> Iterator[Move]:
+def iter_strategy_moves(n: int, s: int) -> Iterator[Move]:
     """Stream the moves of the canonical optimal play for (n, s).
 
     The play for n >= 2 with split m is: win the m-game, win the shifted
@@ -330,30 +328,26 @@ def iter_strategy_moves(
     m-game with one less pebble by playing it backwards: the same three parts
     in reverse order, each backwards.  Emission is lazy and iterative, so very
     long plays are never materialized and have no depth limit; the moves are
-    those of the signed-square lists of ``_emit``.  Every subgame is at most
-    (n, min(s, n)), so ``tables`` that cover that cell give the splits;
-    otherwise they come from ``_play_splits``.
+    those of the signed-square lists of ``_emit``, with the splits of
+    ``_play_splits``.
     """
     if not dp.is_solvable(n, s):
         raise UnsolvableError(
             f"n={n} is not solvable with S={s} pebbles (limit is n <= 2**(S-1))"
         )
-    if tables is not None and n <= tables.nmax and min(s, n) <= tables.smax:
-        split = lambda n, s: tables.m[n][s]
-    else:
-        split = _play_splits(n, s, None)[0]
+    split = _play_splits(n, s, None)[0]
     return _moves_of(itertools.chain.from_iterable(_emit(n, s, split)))
 
 
 def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
     """The least split at every subgame of the solvable (n, s) play, as a function
     of (n, S) for S <= n, and F(n, s), the play's length.  Where s >= n the play
-    is the ladder, split 1 throughout; otherwise the splits come from the run
-    layers cut at n, under the same cell budget as a table of them."""
+    is the ladder, split 1 throughout; otherwise each split is ``Layer.split`` of
+    the run layers cut at n, built under the same cell budget as a table of them."""
     if s >= n:
         return (lambda n, s: 1), dp._ladder(n)
     layers = list(dp._layers(n, s, cell_budget))
-    return dp._split_index(layers), layers[-1].cost(n)
+    return (lambda n, s: layers[s - 1].split(n) or 0), layers[-1].cost(n)
 
 
 def _emit(n: int, s: int, split: Callable[[int, int], int]) -> Iterator[list]:
@@ -389,16 +383,10 @@ def _emit(n: int, s: int, split: Callable[[int, int], int]) -> Iterator[list]:
         yield chunk
 
 
-def synthesize(
-    n: int,
-    s: int,
-    *,
-    tables: dp.DpTables | None = None,
-    max_moves: int | None = None,
-) -> Strategy:
+def synthesize(n: int, s: int, *, max_moves: int | None = None) -> Strategy:
     """Materialize the canonical optimal play; length equals f_cost(n, s)."""
     cap = config.DEFAULT_MATERIALIZATION_CAP if max_moves is None else max_moves
-    moves = tuple(itertools.islice(iter_strategy_moves(n, s, tables=tables), max(cap, 0) + 1))
+    moves = tuple(itertools.islice(iter_strategy_moves(n, s), max(cap, 0) + 1))
     if len(moves) > cap:
         raise ResourceLimitError(
             f"play for n={n}, S={s} exceeds the materialization cap ({cap} moves)"

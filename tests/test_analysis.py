@@ -257,23 +257,27 @@ def test_min_ts_auto_matches_full_tables(tables_300_300):
         assert (record.product, record.best_s) == best, n
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.data())
-def test_min_ts_auto_budget_bounds_the_certifying_cells(tables_300_300, data):
-    n = data.draw(st.integers(1, 300), label="n")
-    needed = n * certifying_budget(tables_300_300, n)
-    budget = data.draw(
-        st.one_of(st.integers(0, n * n + n), st.sampled_from([needed - 1, needed])),
-        label="budget",
-    )
-    if needed <= budget:
-        record, full = min_ts_auto(n, cell_budget=budget), min_ts(n, tables_300_300)
-        assert (record.best_s, record.best_f, record.product) == (
-            full.best_s, full.best_f, full.product
+def test_min_ts_auto_budget_bounds_the_certifying_cells(tables_300_300):
+    # An inner test, so that a falsifying example prints the draws, not the table.
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 300), label="n")
+        needed = n * certifying_budget(tables_300_300, n)
+        budget = data.draw(
+            st.one_of(st.integers(0, n * n + n), st.sampled_from([needed - 1, needed])),
+            label="budget",
         )
-    else:
-        with pytest.raises(ResourceLimitError, match=f"the cell budget is {budget}$"):
-            min_ts_auto(n, cell_budget=budget)
+        if needed <= budget:
+            record, full = min_ts_auto(n, cell_budget=budget), min_ts(n, tables_300_300)
+            assert (record.best_s, record.best_f, record.product) == (
+                full.best_s, full.best_f, full.product
+            )
+        else:
+            with pytest.raises(ResourceLimitError, match=f"the cell budget is {budget}$"):
+                min_ts_auto(n, cell_budget=budget)
+
+    check()
 
 
 def test_min_ts_auto_runs_one_pass_to_the_certificate(monkeypatch):

@@ -436,6 +436,29 @@ def test_config_file_unknown_key(capsys, tmp_path, monkeypatch):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("cost", "10", "4", "--cell-budget", "0"), "cell_budget", 0),
+        (("cost", "10", "4", "--cell-budget", "-3"), "cell_budget", -3),
+        (("strategy", "8", "4", "--emit", "intervals", "--max-moves", "-1"), "materialization_cap", -1),
+    ],
+)
+def test_limit_flags_must_be_positive(capsys, argv, key, value):
+    assert run(capsys, *argv) == (64, "", f"error: {key} must be positive, got {value}\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--max-moves", "9")])
+def test_config_file_limits_must_be_positive(capsys, tmp_path, monkeypatch, flags):
+    # A value the flag overrides is still checked.
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text("materialization_cap=0\n")
+    monkeypatch.setenv("PEBBLEGAME_CONFIG", str(cfg))
+    code, out, err = run(capsys, "cost", "2", "2", *flags)
+    assert (code, out) == (64, "")
+    assert err.endswith(": materialization_cap must be positive, got 0\n")
+
+
 def test_config_file_missing(capsys, monkeypatch):
     monkeypatch.setenv("PEBBLEGAME_CONFIG", "/nonexistent/limits.cfg")
     code, _, err = run(capsys, "cost", "2", "2")

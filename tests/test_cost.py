@@ -8,7 +8,6 @@ from pebblegame import (
     MAX_FINITE_COST,
     CostOverflowError,
     format_cost,
-    is_finite,
     parse_cost,
 )
 from pebblegame.cost import InfiniteCost, cost_sum
@@ -68,11 +67,6 @@ def test_cost_sum_overflow():
     assert cost_sum(MAX_FINITE_COST) == MAX_FINITE_COST
     with pytest.raises(CostOverflowError):
         cost_sum(MAX_FINITE_COST, 1)
-
-
-def test_is_finite():
-    assert is_finite(0)
-    assert not is_finite(INFINITE)
 
 
 @pytest.mark.parametrize("value", [0, 1, 321, MAX_FINITE_COST])

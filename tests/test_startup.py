@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
         f_bound_upper_sum f_gamma f_gamma_report min_ts min_ts_auto threshold_record
         x_lower x_threshold x_upper""",
     "config": "",
-    "cost": "INFINITE MAX_FINITE_COST Cost format_cost is_finite parse_cost",
+    "cost": "INFINITE MAX_FINITE_COST Cost format_cost parse_cost",
     "dp": "DpTables build_table delta f_cost is_solvable split_point table_delta",
     "errors": "CostOverflowError ResourceLimitError TableRangeError UnsolvableError",
     "oracle": "bfs_min_time bfs_path",

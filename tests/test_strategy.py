@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblegame import (
-    INFINITE,
-    DpTables,
     ResourceLimitError,
     UnsolvableError,
     bfs_min_time,
-    build_table,
     dp,
     f_cost,
     is_solvable,
@@ -25,6 +22,7 @@ from pebblegame import (
 )
 from pebblegame.strategy import (
     Move,
+    _emit,
     _iter_chunks,
     _moves_of,
     ReplayChecker,
@@ -125,35 +123,15 @@ def test_canonical_move_order_pinned_at_scale():
 
 @pytest.mark.parametrize("split", [0, 2, 3])
 def test_split_outside_the_board_raises(split):
-    # A hand-built table whose only split breaks 1 <= m < n.
-    tables = DpTables(
-        nmax=2,
-        smax=2,
-        f=((None, None, None), (None, 1, 1), (None, INFINITE, 3)),
-        m=((0, 0, 0), (0, 0, 0), (0, 0, split)),
-    )
-    moves = iter_strategy_moves(2, 2, tables=tables)
+    # A split function whose only split breaks 1 <= m < n.
+    chunks = _emit(2, 2, lambda n, s: split)
     with pytest.raises(UnsolvableError, match=r"^no split for n=2, S=2$"):
-        list(moves)
+        list(chunks)
 
 
 def test_streaming_equals_materialized():
     streamed = tuple(iter_strategy_moves(16, 5))
     assert streamed == synthesize(16, 5).moves
-
-
-def test_tables_route_matches_memo_route():
-    tables = build_table(32, 8)
-    for n, s in [(2, 2), (7, 4), (16, 5), (32, 6), (20, 8)]:
-        assert synthesize(n, s, tables=tables).moves == synthesize(n, s).moves, (n, s)
-
-
-@pytest.mark.parametrize("n, s", [(2, 2), (5, 4), (16, 5), (33, 7), (100, 20)])
-def test_strategy_tables_fallback(n, s):
-    # No tables and undersized tables both fall back to the run layers.
-    expected = list(iter_strategy_moves(n, s, tables=build_table(n, min(s, n))))
-    assert list(iter_strategy_moves(n, s)) == expected
-    assert list(iter_strategy_moves(n, s, tables=build_table(n // 2, s))) == expected
 
 
 def test_synthesize_builds_no_table(monkeypatch):
