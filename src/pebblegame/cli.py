@@ -2,18 +2,18 @@
 
 Exit codes are a stable contract: 0 success/finite, 2 unsolvable or invalid,
 64 usage error, 65 resource limit.  Data goes to stdout, diagnostics to
-stderr, and identical invocations produce byte-identical output.  Each
-command imports the modules it runs when it runs, so a process loads only
-what its command needs.
+stderr, and identical invocations produce byte-identical output.  A process
+reads its command line by the COMMANDS table, not argparse, and imports only
+the modules its command runs, so that start-up stays small.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import math
 import sys
+from types import SimpleNamespace
 
 from . import config
 from .cost import INFINITE, format_cost
@@ -29,72 +29,6 @@ EXIT_UNSOLVABLE = 2
 EXIT_USAGE = 64
 EXIT_RESOURCE = 65
 EXIT_DISAGREE = 1
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pebblegame", description="Exact pebble-game solver and analyzer.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--cell-budget", type=int, default=None, help="max table cells (overrides config file)"
-    )
-    common.add_argument(
-        "--max-moves", type=int, default=None, help="materialization cap (overrides config file)"
-    )
-
-    p = sub.add_parser("cost", parents=[common], help="minimum move count F(n,S)")
-    p.add_argument("n", type=int)
-    p.add_argument("s", type=int, metavar="S")
-    p.set_defaults(func=cmd_cost)
-
-    p = sub.add_parser("table", parents=[common], help="full F table up to (nmax, smax)")
-    p.add_argument("nmax", type=int)
-    p.add_argument("smax", type=int)
-    p.add_argument("--format", choices=("plain", "csv", "tsv"), default="plain")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("strategy", parents=[common], help="emit an optimal play")
-    p.add_argument("n", type=int)
-    p.add_argument("s", type=int, metavar="S")
-    p.add_argument("--emit", choices=("moves", "intervals"), default="moves")
-    p.add_argument("--verify", action="store_true", help="append a replay summary line")
-    p.set_defaults(func=cmd_strategy)
-
-    p = sub.add_parser("verify", parents=[common], help="replay a move list and report")
-    p.add_argument("n", type=int)
-    p.add_argument("s", type=int, metavar="S")
-    p.add_argument("file", nargs="?", default=None, help="moves file (default: stdin)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", parents=[common], help="exhaustive-search cross-check")
-    p.add_argument("n", type=int)
-    p.add_argument("s", type=int, metavar="S")
-    p.add_argument("--path", action="store_true", help="also print a witness play")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bounds", parents=[common], help="threshold and cost-bound rows")
-    p.add_argument("s", type=int, metavar="S")
-    p.add_argument("--kmax", type=int, default=None)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("tsmin", parents=[common], help="exact minimum of F(n,S)*S over S")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_tsmin)
-
-    p = sub.add_parser("fgamma", parents=[common], help="normalized log-cost report on a gamma grid")
-    p.add_argument("s", type=int, metavar="S")
-    p.add_argument("--points", type=int, default=25)
-    p.set_defaults(func=cmd_fgamma)
-
-    return parser
 
 
 def cmd_cost(args, limits) -> int:
@@ -206,12 +140,15 @@ def cmd_verify(args, limits) -> int:
 def cmd_oracle(args, limits) -> int:
     from . import dp, oracle
 
-    bfs = oracle.bfs_min_time(args.n, args.s)
+    if args.path:  # one search: the distance is the witness's length
+        witness = oracle.bfs_path(args.n, args.s)
+        bfs = INFINITE if witness is None else witness.step_count
+    else:
+        witness, bfs = None, oracle.bfs_min_time(args.n, args.s)
     dp_value = dp.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
     agree = bfs == dp_value
     print(f"bfs={format_cost(bfs)} dp={format_cost(dp_value)} {'agree' if agree else 'disagree'}")
-    if args.path and bfs is not INFINITE:
-        witness = oracle.bfs_path(args.n, args.s)
+    if witness is not None:
         sys.stdout.write(witness.to_text())
     if not agree:
         return EXIT_DISAGREE
@@ -298,14 +235,151 @@ def cmd_fgamma(args, limits) -> int:
     return EXIT_OK
 
 
+# Each command's handler, help line, positionals and own options; each also
+# takes the _LIMITS options.  Positionals are integers, but for a last "[file]":
+# a string that may be left out.  An option maps to (kind, default, help), the
+# kind being int, a tuple of the words it accepts, or bool for a flag.
+_LIMITS = {
+    "--cell-budget": (int, None, "max table cells (overrides config file)"),
+    "--max-moves": (int, None, "materialization cap (overrides config file)"),
+}
+COMMANDS = {
+    "cost": (cmd_cost, "minimum move count F(n,S)", ("n", "S"), {}),
+    "table": (cmd_table, "full F table up to (nmax, smax)", ("nmax", "smax"), {
+        "--format": (("plain", "csv", "tsv"), "plain", "row format (default plain)"),
+    }),
+    "strategy": (cmd_strategy, "emit an optimal play", ("n", "S"), {
+        "--emit": (("moves", "intervals"), "moves", "what to print (default moves)"),
+        "--verify": (bool, False, "append a replay summary line"),
+    }),
+    "verify": (cmd_verify, "replay a move list (default stdin)", ("n", "S", "[file]"), {}),
+    "oracle": (cmd_oracle, "exhaustive-search cross-check", ("n", "S"), {
+        "--path": (bool, False, "also print a witness play"),
+    }),
+    "bounds": (cmd_bounds, "threshold and cost-bound rows", ("S",), {
+        "--kmax": (int, None, "last k (default S-1)"),
+    }),
+    "tsmin": (cmd_tsmin, "exact minimum of F(n,S)*S over S", ("n",), {}),
+    "fgamma": (cmd_fgamma, "normalized log-cost report on a gamma grid", ("S",), {
+        "--points": (int, 25, "gamma grid points (default 25)"),
+    }),
+}
+
+
+class _Stop(Exception):
+    """Ends a parse with (exit code, text): 0 and help, or 64 and a usage error."""
+
+
+def _label(name: str, kind) -> str:
+    """An option as usage and help show it: its name, then the values it takes."""
+    values = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "N"
+    return name if kind is bool else f"{name} {values}"
+
+
+def _usage(command: str | None, full: bool = False) -> str:
+    """The usage line of the program or of a command; ``full`` adds the help."""
+    if command is None:
+        title = "Exact pebble-game solver and analyzer."
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+        words = ["[-h]", "{" + ",".join(COMMANDS) + "}", "..."]
+    else:
+        _, title, positionals, options = COMMANDS[command]
+        specs = {**_LIMITS, **options}.items()
+        rows = [(_label(name, kind), text) for name, (kind, _, text) in specs]
+        words = [command, "[-h]", *(f"[{label}]" for label, _ in rows), *positionals]
+    text = " ".join(["usage: pebblegame", *words]) + "\n"
+    if full:
+        width = max(len(label) for label, _ in rows) + 2
+        text += f"\n{title}\n\n" + "".join(f"  {label:<{width}}{line}\n" for label, line in rows)
+    return text
+
+
+def _error(command: str | None, message: str) -> _Stop:
+    prog = "pebblegame" if command is None else f"pebblegame {command}"
+    return _Stop(EXIT_USAGE, f"{_usage(command)}{prog}: error: {message}\n")
+
+
+def _is_option(arg: str) -> bool:
+    """A dash starts an option, but for a lone one and a negative number's."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].replace(".", "", 1).isdecimal()
+
+
+def _convert(command: str, label: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _error(command, f"argument {label}: invalid int value: {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise _error(command, f"argument {label}: invalid choice: {text!r}")
+    return text
+
+
+def _parse(argv: list) -> tuple:
+    """(handler, args) of a command line, read by the COMMANDS table.
+
+    The command comes first.  Options may come before, between or after the
+    positionals, as ``--opt value``, ``--opt=value`` or a unique prefix of
+    ``--opt``; the last of a repeated option wins, and ``--`` ends them.  Each
+    value is converted where it is read, so the first bad one is reported, and
+    -h or --help stops the parse where it stands.
+    """
+    command, handler, positionals, options, values = None, None, (), {}, {}
+    free, unknown, ended = [], [], False
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--" and not ended:
+            ended = True
+        elif ended or not _is_option(arg):
+            if command is None:
+                if arg not in COMMANDS:
+                    raise _error(None, f"argument command: invalid choice: {arg!r}")
+                command, (handler, _, positionals, own) = arg, COMMANDS[arg]
+                options = {**_LIMITS, **own}
+                values = {name[2:].replace("-", "_"): entry[1] for name, entry in options.items()}
+            elif len(free) < len(positionals):
+                label = positionals[len(free)]
+                free.append(_convert(command, label, str if label[0] == "[" else int, arg))
+            else:
+                unknown.append(arg)
+        else:
+            prefix, eq, value = arg.partition("=")
+            found = [name for name in ("-h", "--help", *options) if name.startswith(prefix)]
+            name = found[0] if len(found) == 1 else None
+            kind = options[name][0] if name in options else bool
+            if name is None:
+                unknown.append(arg)
+            elif kind is bool and eq:
+                raise _error(command, f"argument {name}: ignored explicit argument {value!r}")
+            elif name in ("-h", "--help"):
+                raise _Stop(EXIT_OK, _usage(command, full=True))
+            else:
+                if kind is not bool and not eq:
+                    value = next(rest, None)
+                    if value is None or _is_option(value):
+                        raise _error(command, f"argument {name}: expected one argument")
+                value = True if kind is bool else _convert(command, name, kind, value)
+                values[name[2:].replace("-", "_")] = value
+    if command is None:
+        raise _error(None, "the following arguments are required: command")
+    if missing := [label for label in positionals[len(free):] if label[0] != "["]:
+        raise _error(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _error(command, f"unrecognized arguments: {' '.join(unknown)}")
+    for label, value in itertools.zip_longest(positionals, free):
+        values[label.strip("[]").lower()] = value
+    return handler, SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code is None else int(exc.code)
-    try:
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         limits = config.load_limits(args.cell_budget, args.max_moves)
-        return args.func(args, limits)
+        return handler(args, limits)
+    except _Stop as stop:
+        code, text = stop.args
+        (sys.stdout if code == EXIT_OK else sys.stderr).write(text)
+        return code
     except UnsolvableError as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE

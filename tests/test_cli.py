@@ -21,7 +21,7 @@ from pebblegame import (
     verify,
 )
 from pebblegame import dp
-from pebblegame.cli import main
+from pebblegame.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -517,6 +517,182 @@ def test_outputs_pinned_by_digest(capsys, monkeypatch, argv, digest):
     monkeypatch.setattr(dp, "build_table", no_table)
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
+# Exit code and stdout SHA-256 of command lines, stdin "+1\n+2\n-1\n" and MOVES a
+# file of the same text, recorded with the argparse parser the COMMANDS table
+# replaced; only the last two entries differ from it.  Help text is not pinned.
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+COST_51_7 = "09dd6144a71c15d7d32400f8618cf636a8c4920d4d0771d95a97ce24ba869b2b"
+TABLE_10_4 = "7ff88b6219a0345569e291b71dba5272c660ab8fedfb638b50a34d940bc8e07e"
+TABLE_10_4_CSV = "97331eff8d3f3ba37cfcd6f2d84dbfdecc04c8b1e9c78325fa8d03b575a698b2"
+TABLE_10_4_TSV = "3db12491503a903d7cabb300f725cdd47bfcf33ceb08a8ef26dd966b00ddf087"
+STRATEGY_4_3 = "aabbc71a629a6dcd7704ee3b91e656e5564c0fed30f524b7901ffe863674e012"
+STRATEGY_4_3_VERIFY = "7fc2771fd39e3dc3b0f2360a75bcfbf06339d31095a8ae47f0bdf4bace3889d1"
+STRATEGY_4_3_INTERVALS_VERIFY = "2233f4af23e844eaceb7285ee82f995b90d141b0d480ba7d7b03691db119a6af"
+VERIFY_2_2 = "8c61abec063a9a088609f537f5d63e6bfce6a0c4d87347aeed41ac6f2fc46d39"
+ORACLE_4_3_PATH = "c43b07a478ec9a937de30ebed7695a1f8b14498944e005645101c262ec130d33"
+ORACLE_UNSOLVABLE = "11621a5f66663bbd4b4af557f172d10f2e0669a66d5ae5a41481de897ba639bc"
+BOUNDS_5_KMAX_2 = "8440fa240503adf71bfc8c4f003fd0a8b17c0bd9fbf8454a6bee4fe077630e5c"
+TSMIN_64 = "0cc828f0720aa57108f82c9037c6899f96751ede73c02584f392dea984129711"
+FGAMMA_8_POINTS_3 = "7324a2aa95c7a9ec2f21a3a0c4719ba2f30d5ea89ae1f94b3dcf785b14961766"
+ARGV_CORPUS = [
+    # Each command, with its options in every accepted form: a unique prefix,
+    # "=", "--", options between positionals, and a repeated option.
+    (("cost", "51", "7"), 0, COST_51_7),
+    (("cost", "51", "7", "--cell-budget", "1000"), 0, COST_51_7),
+    (("cost", "51", "7", "--cell-budget=1000"), 0, COST_51_7),
+    (("cost", "51", "7", "--cell", "1000"), 0, COST_51_7),
+    (("cost", "51", "7", "--cell=1000"), 0, COST_51_7),
+    (("cost", "--cell-budget", "1000", "51", "7"), 0, COST_51_7),
+    (("cost", "51", "--cell-budget", "1000", "7"), 0, COST_51_7),
+    (("cost", "--", "51", "7"), 0, COST_51_7),
+    (("cost", "51", "7", "--max-moves", "5", "--m=6"), 0, COST_51_7),
+    (("cost", "51", "7", "--cell-budget", "10", "--cell-budget", "1000"), 0, COST_51_7),
+    (("cost", "51", "7", "--cell-budget", "1000", "--cell-budget", "10"), 65, NO_OUTPUT),
+    (("table", "10", "4"), 0, TABLE_10_4),
+    (("table", "10", "4", "--format", "csv"), 0, TABLE_10_4_CSV),
+    (("table", "10", "4", "--format=tsv"), 0, TABLE_10_4_TSV),
+    (("table", "10", "4", "--f", "csv"), 0, TABLE_10_4_CSV),
+    (("table", "--form=csv", "10", "4"), 0, TABLE_10_4_CSV),
+    (("table", "10", "--format", "tsv", "4"), 0, TABLE_10_4_TSV),
+    (("table", "10", "4", "--format", "csv", "--format", "plain"), 0, TABLE_10_4),
+    (("strategy", "4", "3"), 0, STRATEGY_4_3),
+    (("strategy", "4", "3", "--verify"), 0, STRATEGY_4_3_VERIFY),
+    (("strategy", "4", "3", "--verif"), 0, STRATEGY_4_3_VERIFY),
+    (("strategy", "4", "--verify", "3"), 0, STRATEGY_4_3_VERIFY),
+    (("strategy", "--emit", "intervals", "4", "3"), 0,
+     "c629d906a1c5635b14e0b7b419ae6e394d3146bb862a94e9de4c4ccf6421751d"),
+    (("strategy", "4", "3", "--emit=intervals", "--verify"), 0, STRATEGY_4_3_INTERVALS_VERIFY),
+    (("strategy", "4", "3", "--e", "intervals", "--ver"), 0, STRATEGY_4_3_INTERVALS_VERIFY),
+    (("strategy", "4", "3", "--verify", "--verify"), 0, STRATEGY_4_3_VERIFY),
+    (("strategy", "4", "3", "--emit", "intervals", "--emit", "moves"), 0, STRATEGY_4_3),
+    (("strategy", "8", "4", "--emit", "intervals", "--max-moves", "10"), 65, NO_OUTPUT),
+    (("strategy", "8", "4", "--emit", "intervals", "--max", "100"), 0,
+     "ef4c1bb0ee700bcbc13cb634ac02955352a637cfda00a495ca00d62a91b87615"),
+    (("verify", "2", "2"), 0, VERIFY_2_2),
+    (("verify", "2", "2", "-"), 0, VERIFY_2_2),
+    (("verify", "2", "2", "MOVES"), 0, VERIFY_2_2),
+    (("verify", "--", "2", "2", "-"), 0, VERIFY_2_2),
+    (("verify", "2", "--cell", "100", "2", "-"), 0, VERIFY_2_2),
+    (("verify", "--cell-budget=100", "2", "2"), 0, VERIFY_2_2),
+    (("verify", "2", "1", "-"), 2,
+     "38d6be9e1b9a0b98c1f08388aa2bb30f9605c737a7dfb573f1157ab67f236d61"),
+    (("oracle", "4", "3"), 0, "88d2ed11954fcc86d63a9beabda68a27619f3f1e1f8a1494c09b7bc97ec72947"),
+    (("oracle", "4", "3", "--path"), 0, ORACLE_4_3_PATH),
+    (("oracle", "4", "3", "--pa"), 0, ORACLE_4_3_PATH),
+    (("oracle", "--path", "4", "3"), 0, ORACLE_4_3_PATH),
+    (("oracle", "2", "1", "--path"), 2, ORACLE_UNSOLVABLE),
+    # Recorded while --path searched twice, once for the distance and once
+    # for the witness; now the witness's length is the distance.
+    (("oracle", "12", "6", "--path"), 0,
+     "3399043a1f96cf77ba6fe1fc7a0ecc9eb9b430fdce4e7c91c0202184b2bd66fc"),
+    (("oracle", "9", "3", "--path"), 2, ORACLE_UNSOLVABLE),
+    (("bounds", "5"), 0, "27d151dd74f61b0eca882b1647d56a8c48370cf9aa6da513d5ee31363911e986"),
+    (("bounds", "5", "--kmax", "2"), 0, BOUNDS_5_KMAX_2),
+    (("bounds", "5", "--kmax=2"), 0, BOUNDS_5_KMAX_2),
+    (("bounds", "--k", "2", "5"), 0, BOUNDS_5_KMAX_2),
+    (("bounds", "5", "--kmax", "2", "--kmax", "3"), 0,
+     "919788bffae218d805da7621bc090cdd457cefbdc3a94933b04e62879b1ef284"),
+    (("tsmin", "64"), 0, TSMIN_64),
+    (("tsmin", "64", "--cell-budget", "2000"), 0, TSMIN_64),
+    (("tsmin", "--", "64"), 0, TSMIN_64),
+    (("fgamma", "8"), 0, "fabf83fe6f46650363db0a2e55e854310314b66c8571bbc322965349028931ed"),
+    (("fgamma", "8", "--points", "3"), 0, FGAMMA_8_POINTS_3),
+    (("fgamma", "8", "--points=3"), 0, FGAMMA_8_POINTS_3),
+    (("fgamma", "--p", "3", "8"), 0, FGAMMA_8_POINTS_3),
+    # Signed and underscored integers: a negative one is a value, not an option.
+    (("cost", "5", "-1"), 64, NO_OUTPUT),
+    (("cost", "-5", "3"), 64, NO_OUTPUT),
+    (("cost", "--", "5", "-1"), 64, NO_OUTPUT),
+    (("cost", "+5", "+3"), 2, "98937a6e19cc58cdb391e913b634e3a98b9908b117e8d45749bb503bbcf3904f"),
+    (("cost", "5_000", "5_000"), 0,
+     "099f50c722d86d5a17d8b6d4343e1906efd6108cd159eb53f7c5c42c7f40b418"),
+    (("cost", "51", "7", "--cell-budget", "-3"), 64, NO_OUTPUT),
+    (("cost", "51", "7", "--cell-budget", "+1_000"), 0, COST_51_7),
+    (("table", "+10", "4"), 0, TABLE_10_4),
+    (("tsmin", "-1"), 64, NO_OUTPUT),
+    (("bounds", "5", "--kmax", "-1"), 64, NO_OUTPUT),
+    (("fgamma", "8", "--points", "-2"), 64, NO_OUTPUT),
+    (("verify", "+2", "2", "-"), 0, VERIFY_2_2),
+    # Usage errors.
+    ((), 64, NO_OUTPUT),
+    (("nonsense",), 64, NO_OUTPUT),
+    (("cos", "1", "1"), 64, NO_OUTPUT),
+    (("cost",), 64, NO_OUTPUT),
+    (("cost", "3"), 64, NO_OUTPUT),
+    (("cost", "3", "3", "3"), 64, NO_OUTPUT),
+    (("tsmin",), 64, NO_OUTPUT),
+    (("tsmin", "5", "6"), 64, NO_OUTPUT),
+    (("verify", "2"), 64, NO_OUTPUT),
+    (("verify", "2", "2", "-", "extra"), 64, NO_OUTPUT),
+    (("cost", "three", "5"), 64, NO_OUTPUT),
+    (("cost", "1.5", "5"), 64, NO_OUTPUT),
+    (("cost", "5", "-1.5"), 64, NO_OUTPUT),
+    (("cost", "", "5"), 64, NO_OUTPUT),
+    (("cost", "51", "7", "--cell-budget"), 64, NO_OUTPUT),
+    (("cost", "51", "7", "--cell-budget", "--max-moves", "5"), 64, NO_OUTPUT),
+    (("cost", "51", "7", "--cell-budget="), 64, NO_OUTPUT),
+    (("cost", "51", "7", "--cell-budget", "x"), 64, NO_OUTPUT),
+    (("table", "10", "4", "--format"), 64, NO_OUTPUT),
+    (("table", "10", "4", "--format", "json"), 64, NO_OUTPUT),
+    (("table", "10", "4", "--format=CSV"), 64, NO_OUTPUT),
+    (("strategy", "4", "3", "--emit", "text"), 64, NO_OUTPUT),
+    (("strategy", "4", "3", "--emit"), 64, NO_OUTPUT),
+    (("strategy", "4", "3", "--verify=1"), 64, NO_OUTPUT),
+    (("strategy", "4", "3", "--verif=yes"), 64, NO_OUTPUT),
+    (("oracle", "4", "3", "--path=1"), 64, NO_OUTPUT),
+    (("cost", "51", "7", "--bogus"), 64, NO_OUTPUT),
+    (("cost", "51", "7", "-x"), 64, NO_OUTPUT),
+    (("strategy", "4", "3", "--", "--verify"), 64, NO_OUTPUT),
+    (("table", "10", "4", "--format", "--", "csv"), 64, NO_OUTPUT),
+    (("cost", "51", "7", "--kmax", "2"), 64, NO_OUTPUT),
+    (("--cell-budget", "100", "cost", "1", "1"), 64, NO_OUTPUT),
+    # The argparse parser refused these two and exited 64: it settled the
+    # optional file as absent before the option, and took "--" for a command.
+    (("verify", "2", "2", "--cell-budget", "100", "-"), 0, VERIFY_2_2),
+    (("--", "cost", "51", "7"), 0, COST_51_7),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", ARGV_CORPUS, ids=[" ".join(argv) or "(none)" for argv, _, _ in ARGV_CORPUS]
+)
+def test_command_line_grammar_pinned(capsys, monkeypatch, tmp_path, argv, code, digest):
+    moves = tmp_path / "moves.txt"
+    moves.write_text("+1\n+2\n-1\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(moves.read_text()))
+    argv = [str(moves) if arg == "MOVES" else arg for arg in argv]
+    got, out, err = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
+    if code == 64:  # a usage error, or a value the command itself refuses
+        assert err.startswith(("usage: pebblegame", "error: ")), err
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (("-h",), None),
+        (("--he",), None),
+        (("-h", "cost"), None),
+        (("cost", "-h"), "cost"),
+        (("strategy", "4", "3", "--help"), "strategy"),
+        (("table", "--h"), "table"),
+        # Help wins over what the parse has not yet refused.
+        (("cost", "1", "1", "1", "-h"), "cost"),
+        (("cost", "--bogus", "-h"), "cost"),
+        (("verify", "2", "2", "-", "-h"), "verify"),
+    ],
+)
+def test_help_comes_from_the_command_table(capsys, argv, command):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if command is None:
+        assert out.startswith("usage: pebblegame [-h] {cost,table,strategy,")
+        assert all(f"\n  {name} " in out for name in COMMANDS)
+    else:
+        assert out.startswith(f"usage: pebblegame {command} [-h] [--cell-budget N] [--max-moves N]")
+        assert all(name in out for name in COMMANDS[command][3])
 
 
 @pytest.mark.parametrize(

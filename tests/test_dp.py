@@ -332,13 +332,16 @@ def test_query_routes_agree_with_large_table(tables_2048_16):
 
     # The table is read by an inner test, not passed to it, so that a
     # falsifying example prints the drawn cell rather than the table's repr.
-    # Boards up to 2**S, so about half the draws are solvable.
+    # Boards up to 2**S, so about half the draws are solvable.  The random
+    # draws stay near small n, so the top of the board is given explicitly.
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         st.integers(1, 16).flatmap(
             lambda s: st.tuples(st.integers(1, min(2047, 2**s)), st.just(s))
         )
     )
+    @example((2047, 12))
+    @example((2047, 16))
     def check(case):
         n, s = case
         s_eff = min(s, n)

@@ -49,18 +49,29 @@ def loaded_modules(code: str, *argv):
     return done.returncode, done.stdout, set(done.stderr.rpartition("modules:")[2].split())
 
 
+# The command line is read without argparse, which would bring gettext and locale.
+PARSER = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize(
     "argv, last_line, absent",
     [
         (
             ("cost", "1", "1"),
             "F(1,1) = 1",
-            {"dataclasses", "pebblegame.analysis", "pebblegame.oracle", "pebblegame.strategy"},
+            {"dataclasses", "pebblegame.analysis", "pebblegame.oracle", "pebblegame.strategy"}
+            | PARSER,
         ),
         (
             ("strategy", "8", "4", "--verify"),
             "T=25 peak=4 valid=true",
-            {"dataclasses", "pebblegame.analysis"},
+            {"dataclasses", "pebblegame.analysis"} | PARSER,
+        ),
+        (("tsmin", "9"), "S=5 F=25 TS=125 ratio=1.0660", {"pebblegame.strategy"} | PARSER),
+        (
+            ("table", "10", "4", "--format", "csv"),
+            "10,inf,inf,inf,inf",
+            {"pebblegame.analysis", "pebblegame.strategy"} | PARSER,
         ),
     ],
 )
