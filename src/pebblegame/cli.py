@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 success/finite, 2 unsolvable or invalid,
 64 usage error, 65 resource limit.  Data goes to stdout, diagnostics to
 stderr, and identical invocations produce byte-identical output.  A process
 reads its command line by the COMMANDS table, not argparse, and imports only
-the modules its command runs, so that start-up stays small.
+the modules its command runs, so that start-up stays small.  A handler
+that cannot answer raises, and ``main`` alone turns the error into its
+stderr line and exit code.
 """
 
 from __future__ import annotations
@@ -52,10 +54,22 @@ TABLE_BLOCK = 2048
 
 
 def cmd_table(args, limits) -> int:
+    """Write F for n = 1..nmax, S = 1..smax, by solvability bands.
+
+    F(n, S) is finite exactly where n <= top(S) = min(2**(S-1), nmax), so
+    in row n the "inf" columns are the prefix S = 1..k, and that prefix is
+    the same in every row of the band top(k) < n <= top(k+1).  Each band's
+    line has those cells written in; only the finite layers' costs are
+    formatted into it, TABLE_BLOCK rows per write.  The prefix holds only
+    while tops never fall with S, which is checked.
+    """
     from . import dp
 
     nmax = args.nmax
     layers = dp._table_layers(nmax, args.smax, limits.cell_budget)
+    tops = [layer.top for layer in layers]
+    if any(top > after for top, after in zip(tops, tops[1:])):
+        raise ArithmeticError(f"layer tops {tops} fall with S: the infinite cells are not a prefix")
     header = ["n"] + [f"S={layer.s}" for layer in layers]
     if args.format == "plain":
         # F rises in n, so a column is as wide as its header or its last
@@ -64,15 +78,23 @@ def cmd_table(args, limits) -> int:
             max(len(head), len(str(layer.cost(layer.top))))
             for head, layer in zip(header[1:], layers)
         ]
-        line = " ".join(f"%{width}s" for width in widths) + "\n"
+        sep, header = " ", map(str.rjust, header, widths)
+        cells = [f"%{width}s" for width in widths]
+        infinite = ["inf".rjust(width) for width in widths[1:]]
     else:
-        line = {"csv": ",", "tsv": "\t"}[args.format].join(["%s"] * len(header)) + "\n"
-    # Each layer's costs() is padded at n = 0, so row 0 is skipped.
-    rows = itertools.islice(zip(itertools.count(), *[layer.costs() for layer in layers]), 1, None)
+        sep = {"csv": ",", "tsv": "\t"}[args.format]
+        cells, infinite = ["%s"] * len(header), ["inf"] * len(layers)
     write = sys.stdout.write
-    write(line % tuple(header))
-    while block := list(itertools.islice(rows, TABLE_BLOCK)):
-        write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+    write(sep.join(header) + "\n")
+    costs = [layer.costs() for layer in layers]
+    first = 1
+    for k, last in enumerate(tops + [nmax]):  # band k: rows first..last
+        line = sep.join([cells[0], *infinite[:k], *cells[k + 1:]]) + "\n"
+        rows = zip(range(first, last + 1), *costs[k:])
+        width = len(layers) - k + 1
+        while values := tuple(itertools.chain.from_iterable(itertools.islice(rows, TABLE_BLOCK))):
+            write(line * (len(values) // width) % values)
+        first = last + 1
     return EXIT_OK
 
 
@@ -86,11 +108,7 @@ def cmd_strategy(args, limits) -> int:
 
     n, s = args.n, args.s
     if not dp.is_solvable(n, s):
-        print(
-            f"unsolvable: n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))",
-            file=sys.stderr,
-        )
-        return EXIT_UNSOLVABLE
+        raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
     split, total = strategy._play_splits(n, s, limits.cell_budget)
     checker = strategy.ReplayChecker(n, budget=s)
     chunks = strategy._emit(n, s, split)

@@ -28,11 +28,14 @@ board has tens of thousands of squares, and the merge steps a run at a time.
 The finite part of a layer ends at n = 2**(S-1), where the merge runs out of
 finite terms; past it F is INFINITE.  F(n, S) is a prefix sum over the runs
 and the least split a prefix count over the runs of the merge order.
-``Layer`` is the one reader of the runs.  ``build_table`` expands them into
-whole tables, for the library API and the tests only: the ``table`` command
-streams rows from the layers, and ``strategy`` asks ``Layer.split`` for the
-split of each subgame.  ``f_cost``, ``split_point`` and ``delta`` run one
-pass of S layers cut at the queried board and keep no state between calls.
+``Layer`` is the one reader of the runs; its ``costs`` and ``splits`` read
+only the finite part, n <= top.  ``build_table`` expands them into whole
+tables, padded with INFINITE past each top, for the library API and the
+tests only: the ``table`` command writes the "inf" cells as text and
+formats only the layers' finite costs, and ``strategy`` asks
+``Layer.split`` for the split of each subgame.  ``f_cost``, ``split_point``
+and ``delta`` run one pass of S layers cut at the queried board and keep no
+state between calls.
 The test suite checks the layers against a plain recursion over every split.
 """
 
@@ -117,19 +120,14 @@ class Layer(NamedTuple):
         return INFINITE if after is INFINITE else after - self.cost(n)
 
     def costs(self) -> Iterator:
-        """F(n, S) for n = 0..nmax, with None at 0 and INFINITE past top."""
+        """F(n, S) for n = 1..top, the finite part of the layer."""
         slopes = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.runs))
-        return itertools.chain(
-            [None], itertools.accumulate(slopes, initial=1),
-            itertools.repeat(INFINITE, self.nmax - self.top),
-        )
+        return itertools.accumulate(slopes, initial=1)
 
     def splits(self) -> Iterator:
-        """The least split for n = 0..nmax, 0 where undefined."""
-        return itertools.chain(
-            [0, 0, 1][: self.top + 1], itertools.chain.from_iterable(self._split_runs()),
-            itertools.repeat(0, self.nmax - self.top),
-        )
+        """The least split for n = 1..top, 0 at n = 1 where none is defined."""
+        splits = itertools.chain.from_iterable(self._split_runs())
+        return itertools.chain([0, 1][: self.top], splits)
 
     def _split_runs(self) -> Iterator:
         """The least splits for n = 3..top, a range per G run, a repeat per H run."""
@@ -321,11 +319,18 @@ def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTa
     """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
     layers = _table_layers(nmax, smax, cell_budget)
     # Zip the layers' columns, read lazily, into (n, S) rows: no column is
-    # held as a list.  Index 0 of every column is padding, so row 0 comes out
-    # as padding; the leading repeat adds the padding column 0.
-    f = tuple(zip(itertools.repeat(None), *[layer.costs() for layer in layers]))
-    m = tuple(zip(itertools.repeat(0), *[layer.splits() for layer in layers]))
+    # held as a list.  Each column is padded at n = 0, so row 0 comes out as
+    # padding, and past the layer's top; the leading repeat adds column 0.
+    f = [_column(layer, layer.costs(), None, INFINITE) for layer in layers]
+    m = [_column(layer, layer.splits(), 0, 0) for layer in layers]
+    f, m = tuple(zip(itertools.repeat(None), *f)), tuple(zip(itertools.repeat(0), *m))
     return DpTables(nmax=nmax, smax=smax, f=f, m=m)
+
+
+def _column(layer: Layer, values: Iterator, pad, beyond) -> Iterator:
+    """A layer's values for n = 1..top as a table column: ``pad`` at n = 0,
+    then the values, then ``beyond`` for n = top+1..nmax."""
+    return itertools.chain([pad], values, itertools.repeat(beyond, layer.nmax - layer.top))
 
 
 def table_delta(tables: DpTables, n: int, s: int) -> Cost:

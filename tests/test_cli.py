@@ -181,6 +181,13 @@ def test_strategy_unsolvable(capsys):
     assert "unsolvable" in err
 
 
+@pytest.mark.parametrize("flags", [(), ("--verify",), ("--emit", "intervals")])
+def test_strategy_unsolvable_message_pinned(capsys, flags):
+    # As cmd_strategy wrote it itself before it raised UnsolvableError.
+    err = "unsolvable: n=5 needs more than S=3 pebbles (limit is n <= 2**(S-1))\n"
+    assert run(capsys, "strategy", "5", "3", *flags) == (2, "", err)
+
+
 def test_strategy_interval_cap(capsys):
     code, _, err = run(capsys, "strategy", "8", "4", "--emit", "intervals", "--max-moves", "10")
     assert code == 65
@@ -497,6 +504,9 @@ PINNED_DIGESTS = [
      "f73b60d0870bd2f9c00cb313a4acf5095db17f687dc07aa64f66266d23a0ed9e"),
     (("table", "10", "4", "--format", "tsv"),
      "3db12491503a903d7cabb300f725cdd47bfcf33ceb08a8ef26dd966b00ddf087"),
+    # As the writer that formatted every cell, "inf" ones too, wrote it.
+    (("table", "70000", "19", "--format", "tsv"),
+     "a4fb19d7ebb3c80f22fad454f68fa1e18c3b3665d4887eee51b7849c2d85671e"),
     # Plays as the emitter wrote them while it read its splits from a built table.
     (("strategy", "100", "8"),
      "66ac64e648daf944e1289c8f508eacd24dc04a7cdfb418209bab03b4fc5af469"),

@@ -188,8 +188,11 @@ def test_build_table_shape_and_padding(nmax, smax):
         assert rows[0] == (pad,) * (smax + 1)
         assert all(row[0] is pad for row in rows)
     for s, layer in enumerate(dp._layers(nmax, smax, None), 1):
-        assert [row[s] for row in tables.f[1:]] == list(layer.costs())[1:], s
-        assert [row[s] for row in tables.m[1:]] == list(layer.splits())[1:], s
+        top = layer.top
+        assert [row[s] for row in tables.f[1 : top + 1]] == list(layer.costs()), s
+        assert [row[s] for row in tables.m[1 : top + 1]] == list(layer.splits()), s
+        assert all(row[s] is INFINITE for row in tables.f[top + 1 :]), s
+        assert all(row[s] == 0 for row in tables.m[top + 1 :]), s
 
 
 def test_build_table_structural_invariants(tables_100_20):
@@ -354,12 +357,13 @@ def test_query_routes_agree_with_large_table(tables_2048_16):
 @given(st.integers(1, 64), st.integers(1, 70))
 def test_run_layers_expand_to_the_naive_reference(naive_reference, nmax, smax):
     """Every layer, expanded, holds F and the least split of the plain recursion
-    on every cell, with None / 0 at n = 0 and INFINITE / 0 past its finite end."""
+    on every cell up to its top, past which F is INFINITE."""
     for s, layer in enumerate(dp._layers(nmax, smax, None), 1):
         assert (layer.s, layer.nmax, layer.top) == (s, nmax, min(nmax, 2 ** (s - 1)))
         expected = [naive_reference(n, s) for n in range(1, nmax + 1)]
-        assert list(layer.costs()) == [None] + [cost for cost, _ in expected], s
-        assert list(layer.splits()) == [0] + [split for _, split in expected], s
+        assert list(layer.costs()) == [cost for cost, _ in expected[: layer.top]], s
+        assert list(layer.splits()) == [split for _, split in expected[: layer.top]], s
+        assert all(cost is INFINITE for cost, _ in expected[layer.top :]), s
         for n, (cost, split) in enumerate(expected, 1):
             assert (layer.cost(n), layer.split(n)) == (cost, split or None), (n, s)
 
