@@ -20,7 +20,6 @@ _EXPORTS = {
         "f_bound_upper_sum",
         "f_gamma",
         "f_gamma_report",
-        "min_ts",
         "min_ts_auto",
         "threshold_record",
         "x_lower",
@@ -28,7 +27,7 @@ _EXPORTS = {
         "x_upper",
     ),
     "config": (),
-    "cost": ("INFINITE", "MAX_FINITE_COST", "Cost", "format_cost", "parse_cost"),
+    "cost": ("INFINITE", "MAX_FINITE_COST", "Cost", "format_cost"),
     "dp": (
         "DpTables",
         "build_table",

@@ -187,15 +187,25 @@ def f_gamma_report(s: int, tables: dp.DpTables | dp.Layer, gammas) -> list:
     return rows
 
 
-def _certify(n: int, row) -> TsRecord | None:
-    """Exact minimum of F(n, S) * S with its smallest minimizer, from the row F(n, S),
-    S = 1, 2, ...; None if the row ends first.  The scan from the least solvable S
-    stops once F reaches its floor 2n - 1 (more pebbles cannot shrink it, so the
-    product only grows) or the floor alone prices every later S above the best.
+def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
+    """Exact minimum of F(n, S) * S over S, with its smallest minimizer, from one
+    pass over run layers cut at n; each layer gives F(n, S) as a prefix sum of its runs.
+
+    The scan from the least solvable S stops once F reaches its floor 2n - 1 (more
+    pebbles cannot shrink it, so the product only grows) or the floor alone prices
+    every later S above the best.  The cell budget bounds n * (that certifying S).
+    ResourceLimitError comes before any layer is filled when the budget cannot reach
+    the least solvable S, else when it runs out.
     """
+    dp._check_int("n", n, 1)
+    budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
+    s_start = (n - 1).bit_length() + 1
+    smax = min(n, budget // n)
+    layers = dp._layers(n, smax, budget) if smax >= s_start else ()
     floor_f = 2 * n - 1
     best = (MAX_FINITE_COST + 1, 0, 0)  # (product, S, F); every checked product is less
-    for s, value in itertools.islice(enumerate(row, 1), (n - 1).bit_length(), None):
+    for s, layer in itertools.islice(enumerate(layers, 1), s_start - 1, None):
+        value = layer.cost(n)
         if value is INFINITE:
             raise TableRangeError(f"F({n}, {s}) is infinite; solvability bound violated")
         best = min(best, (_checked(value * s, f"F({n},{s}) * {s}"), s, value))
@@ -203,42 +213,7 @@ def _certify(n: int, row) -> TsRecord | None:
             product, best_s, best_f = best
             ratio = math.log2(product / n) / (2.0 * math.sqrt(math.log2(n))) if n > 1 else math.nan
             return TsRecord(n=n, best_s=best_s, best_f=best_f, product=product, ratio=ratio)
-    return None
-
-
-def min_ts(n: int, tables: dp.DpTables) -> TsRecord:
-    """Exact minimum of F(n, S) * S over S, with the smallest minimizer.
-
-    Row n of ``tables`` is read up to the budget that certifies the minimum;
-    TableRangeError when the table ends first.
-    """
-    dp._check_int("n", n, 1)
-    if n > tables.nmax:
-        raise TableRangeError(f"min_ts needs row n={n}; table stops at nmax={tables.nmax}")
-    record = _certify(n, tables.f[n][1:])
-    if record is None:
-        raise TableRangeError(
-            f"min_ts({n}) needs budgets beyond smax={tables.smax} to certify the minimum"
-        )
-    return record
-
-
-def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
-    """Exact min_ts(n) from one pass over run layers cut at n, stopped at the certifying
-    budget; each layer gives F(n, S) as a prefix sum of its runs.
-
-    The cell budget bounds n * (the certifying S).  ResourceLimitError comes before any
-    layer is filled when the budget cannot reach the least solvable S, else when it runs out.
-    """
-    dp._check_int("n", n, 1)
-    budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    s_start = (n - 1).bit_length() + 1
-    smax = min(n, budget // n)
-    layers = dp._layers(n, smax, budget) if smax >= s_start else ()
-    record = _certify(n, (layer.cost(n) for layer in layers))
-    if record is None:
-        raise ResourceLimitError(
-            f"tsmin({n}) needs at least {n * max(smax + 1, s_start)} cells to certify "
-            f"its minimum; the cell budget is {budget}"
-        )
-    return record
+    raise ResourceLimitError(
+        f"tsmin({n}) needs at least {n * max(smax + 1, s_start)} cells to certify "
+        f"its minimum; the cell budget is {budget}"
+    )

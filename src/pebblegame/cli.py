@@ -43,12 +43,6 @@ def cmd_cost(args, limits) -> int:
     return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE
 
 
-def _aligned(rows: list) -> str:
-    """Rows of cells as text lines, each column right-justified to its widest cell."""
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return "".join(" ".join(map(str.rjust, row, widths)) + "\n" for row in rows)
-
-
 # Rows of `table` formatted and written at a time.
 TABLE_BLOCK = 2048
 
@@ -104,11 +98,9 @@ def _summary_line(report) -> str:
 
 
 def cmd_strategy(args, limits) -> int:
-    from . import dp, strategy
+    from . import strategy
 
     n, s = args.n, args.s
-    if not dp.is_solvable(n, s):
-        raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
     split, total = strategy._play_splits(n, s, limits.cell_budget)
     checker = strategy.ReplayChecker(n, budget=s)
     chunks = strategy._emit(n, s, split)
@@ -210,7 +202,8 @@ def cmd_bounds(args, limits) -> int:
                 "ok" if f_upper >= upper_sum else "FAIL",
             ]
         )
-    sys.stdout.write(_aligned(rows))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    sys.stdout.write("".join(" ".join(map(str.rjust, row, widths)) + "\n" for row in rows))
     return EXIT_OK
 
 
@@ -236,6 +229,10 @@ def cmd_fgamma(args, limits) -> int:
     points = args.points
     if points < 1:
         raise ValueError("--points must be >= 1")
+    if points > limits.materialization_cap:
+        raise ResourceLimitError(
+            f"gamma grid needs {points} points materialized; cap is {limits.materialization_cap}"
+        )
     gammas = [i / (2 * points) for i in range(1, points + 1)]
     solvable_cap = 2 ** (s - 1)
     nmax = 1

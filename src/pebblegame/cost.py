@@ -65,12 +65,3 @@ def cost_sum(*terms: Cost) -> Cost:
 def format_cost(cost: Cost) -> str:
     return "inf" if cost is INFINITE else str(cost)
 
-
-def parse_cost(text: str) -> Cost:
-    text = text.strip()
-    if text == "inf":
-        return INFINITE
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"negative cost: {text!r}")
-    return value

@@ -30,12 +30,8 @@ finite terms; past it F is INFINITE.  F(n, S) is a prefix sum over the runs
 and the least split a prefix count over the runs of the merge order.
 ``Layer`` is the one reader of the runs; its ``costs`` and ``splits`` read
 only the finite part, n <= top.  ``build_table`` expands them into whole
-tables, padded with INFINITE past each top, for the library API and the
-tests only: the ``table`` command writes the "inf" cells as text and
-formats only the layers' finite costs, and ``strategy`` asks
-``Layer.split`` for the split of each subgame.  ``f_cost``, ``split_point``
-and ``delta`` run one pass of S layers cut at the queried board and keep no
-state between calls.
+tables, padded with INFINITE past each top.  ``f_cost``, ``split_point`` and
+``delta`` each run one pass of S layers cut at the queried board.
 The test suite checks the layers against a plain recursion over every split.
 """
 

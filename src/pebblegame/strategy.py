@@ -331,19 +331,17 @@ def iter_strategy_moves(n: int, s: int) -> Iterator[Move]:
     those of the signed-square lists of ``_emit``, with the splits of
     ``_play_splits``.
     """
-    if not dp.is_solvable(n, s):
-        raise UnsolvableError(
-            f"n={n} is not solvable with S={s} pebbles (limit is n <= 2**(S-1))"
-        )
     split = _play_splits(n, s, None)[0]
     return _moves_of(itertools.chain.from_iterable(_emit(n, s, split)))
 
 
 def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
-    """The least split at every subgame of the solvable (n, s) play, as a function
-    of (n, S) for S <= n, and F(n, s), the play's length.  Where s >= n the play
-    is the ladder, split 1 throughout; otherwise each split is ``Layer.split`` of
-    the run layers cut at n, built under the same cell budget as a table of them."""
+    """The least split at every subgame of the (n, s) play, as a function of (n, S)
+    for S <= n, and F(n, s), the play's length; UnsolvableError if n > 2**(s-1).
+    Where s >= n the play is the ladder, split 1 throughout; otherwise each split is
+    ``Layer.split`` of the run layers cut at n, under the cell budget of their table."""
+    if not dp.is_solvable(n, s):
+        raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
     if s >= n:
         return (lambda n, s: 1), dp._ladder(n)
     layers = list(dp._layers(n, s, cell_budget))
@@ -416,15 +414,6 @@ class IntervalView(NamedTuple):
 
     n: int
     squares: tuple
-
-    def occupied_after(self, step: int) -> frozenset:
-        result = set()
-        for index, intervals in enumerate(self.squares, 1):
-            for start, end in intervals:
-                if start <= step and (end is None or step <= end):
-                    result.add(index)
-                    break
-        return frozenset(result)
 
     def to_text(self) -> str:
         lines = []

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pebblegame import INFINITE, build_table, parse_cost
+from pebblegame import INFINITE, build_table
 from pebblegame.cost import cost_sum
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -41,7 +41,7 @@ def reference_costs():
         for row in reader:
             n = int(row[0])
             for s in range(1, 21):
-                values[n, s] = parse_cost(row[s])
+                values[n, s] = INFINITE if row[s] == "inf" else int(row[s])
     return values
 
 

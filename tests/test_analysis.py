@@ -18,7 +18,6 @@ from pebblegame import (
     f_bound_upper_sum,
     f_gamma,
     f_gamma_report,
-    min_ts,
     min_ts_auto,
     table_delta,
     threshold_record,
@@ -35,8 +34,15 @@ def tables_300_300():
     return build_table(300, 300)
 
 
+def row_minimum(tables, n):
+    """(product, S, F) least over the finite cells of row n of ``tables``, the least S
+    on ties: a brute-force reference that shares no code with ``min_ts_auto``."""
+    row = tables.f[n]
+    return min((row[s] * s, s, row[s]) for s in range(1, tables.smax + 1) if row[s] is not INFINITE)
+
+
 def certifying_budget(tables, n):
-    """The least S >= the least solvable budget at which min_ts may stop: F(n, S)
+    """The least S >= the least solvable budget at which min_ts_auto may stop: F(n, S)
     is 2n - 1, or (2n - 1)(S + 1) is at least the best product found so far."""
     floor_f = 2 * n - 1
     best = None
@@ -202,14 +208,13 @@ def test_f_gamma_report_rows(tables_100_20):
 
 
 def test_min_ts_trivial():
-    tables = build_table(1, 1)
-    record = min_ts(1, tables)
+    record = min_ts_auto(1)
     assert (record.best_s, record.best_f, record.product) == (1, 1, 1)
     assert math.isnan(record.ratio)
 
 
-def test_min_ts_small(tables_100_20):
-    record = min_ts(4, tables_100_20)
+def test_min_ts_small():
+    record = min_ts_auto(4)
     assert record.best_s == 3
     assert record.best_f == 9
     assert record.product == 27
@@ -233,28 +238,13 @@ def test_min_ts_candidate_bounds():
         assert record.product <= tables.f[n][start] * start
 
 
-def test_min_ts_needs_enough_budgets(tables_100_20):
-    # Neither table can certify the minimum for n=100 (needs S past 20).
-    with pytest.raises(TableRangeError):
-        min_ts(100, build_table(100, 8))
-    with pytest.raises(TableRangeError):
-        min_ts(100, tables_100_20)
-    full = build_table(100, 100)
-    start = (99).bit_length() + 1
-    best = min((full.f[100][s] * s, s) for s in range(start, 101))
-    record = min_ts_auto(100)
-    assert (record.product, record.best_s) == best
-    assert min_ts(100, full).product == record.product
-
-
 def test_min_ts_auto_matches_full_tables(tables_300_300):
-    # Row n of the 300 x 300 table is row n of build_table(n, n), whose S = n certifies.
-    for n in range(1, 201):
-        record, full = min_ts_auto(n), min_ts(n, tables_300_300)
-        assert record == full or (n == 1 and record.product == full.product == 1), n
-        start = (n - 1).bit_length() + 1
-        best = min((tables_300_300.f[n][s] * s, s) for s in range(start, n + 1))
-        assert (record.product, record.best_s) == best, n
+    # Row n of the 300 x 300 table runs to S = 300 >= n, where F is at its floor
+    # 2n - 1 and every later product is larger, so its minimum is the whole row's.
+    for n in range(1, 301):
+        record = min_ts_auto(n)
+        assert (record.product, record.best_s, record.best_f) == row_minimum(tables_300_300, n), n
+        assert record.n == n
 
 
 def test_min_ts_auto_budget_bounds_the_certifying_cells(tables_300_300):
@@ -269,10 +259,8 @@ def test_min_ts_auto_budget_bounds_the_certifying_cells(tables_300_300):
             label="budget",
         )
         if needed <= budget:
-            record, full = min_ts_auto(n, cell_budget=budget), min_ts(n, tables_300_300)
-            assert (record.best_s, record.best_f, record.product) == (
-                full.best_s, full.best_f, full.product
-            )
+            record = min_ts_auto(n, cell_budget=budget)
+            assert (record.product, record.best_s, record.best_f) == row_minimum(tables_300_300, n)
         else:
             with pytest.raises(ResourceLimitError, match=f"the cell budget is {budget}$"):
                 min_ts_auto(n, cell_budget=budget)
@@ -294,7 +282,8 @@ def test_min_ts_auto_runs_one_pass_to_the_certificate(monkeypatch):
             yield layer
 
     monkeypatch.setattr(dp, "_layers", counting_layers)
-    assert min_ts_auto(n) == min_ts(n, full)
+    record = min_ts_auto(n)
+    assert (record.product, record.best_s, record.best_f) == row_minimum(full, n)
     assert len(passes) == 1
     assert len(drawn) == s_cert
     drawn.clear()
@@ -304,11 +293,7 @@ def test_min_ts_auto_runs_one_pass_to_the_certificate(monkeypatch):
     assert len(passes) == 1 and drawn == []
 
 
-def test_min_ts_validation(tables_100_20):
-    with pytest.raises(ValueError):
-        min_ts(0, tables_100_20)
-    with pytest.raises(TableRangeError):
-        min_ts(101, tables_100_20)
+def test_min_ts_validation():
     for bad in (0, -1, True, 2.0):
         with pytest.raises(ValueError):
             min_ts_auto(bad)

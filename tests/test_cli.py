@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import pebblegame
 from pebblegame import (
     INFINITE,
+    UnsolvableError,
     build_table,
     f_cost,
     format_moves,
     iter_strategy_moves,
-    parse_cost,
     synthesize,
     to_intervals,
     verify,
@@ -24,6 +25,7 @@ from pebblegame import dp
 from pebblegame.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -85,7 +87,7 @@ def test_table_reparses_to_the_same_cells(capsys, fmt, sep):
         cells = line.split(sep)
         n = int(cells[0])
         for s in range(1, 7):
-            assert parse_cost(cells[s]) == tables.f[n][s], (n, s)
+            assert (INFINITE if cells[s] == "inf" else int(cells[s])) == tables.f[n][s], (n, s)
 
 
 def test_table_budget_exceeded(capsys):
@@ -186,6 +188,14 @@ def test_strategy_unsolvable_message_pinned(capsys, flags):
     # As cmd_strategy wrote it itself before it raised UnsolvableError.
     err = "unsolvable: n=5 needs more than S=3 pebbles (limit is n <= 2**(S-1))\n"
     assert run(capsys, "strategy", "5", "3", *flags) == (2, "", err)
+
+
+@pytest.mark.parametrize("play", [synthesize, iter_strategy_moves])
+def test_library_and_cli_give_one_unsolvable_message(capsys, play):
+    _, _, err = run(capsys, "strategy", "5", "3")
+    with pytest.raises(UnsolvableError) as raised:
+        play(5, 3)
+    assert err == f"unsolvable: {raised.value}\n"
 
 
 def test_strategy_interval_cap(capsys):
@@ -406,6 +416,14 @@ def test_fgamma_report(capsys):
     lines = out.splitlines()
     assert lines[0] == "gamma H n f gap"
     assert len(lines) == 11
+
+
+def test_fgamma_points_up_to_the_materialization_cap(capsys):
+    code, out, err = run(capsys, "fgamma", "8", "--points", "10", "--max-moves", "10")
+    assert (code, len(out.splitlines()), err) == (0, 11, "")
+    assert run(capsys, "fgamma", "8", "--points", "11", "--max-moves", "10") == (
+        65, "", "resource limit: gamma grid needs 11 points materialized; cap is 10\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [("fgamma", "1024"), ("fgamma", "1100", "--points", "1")])
@@ -782,3 +800,37 @@ def test_peak_memory_of_large_runs(argv, cut_lines):
     code, hwm_kb = (int(field.split("=")[1]) for field in summary.split())
     assert code == 0, err
     assert hwm_kb < 40 * 1024, summary
+
+
+def readme_examples():
+    """(command, output) of each ``$ pebblegame ...`` example under README "Command line"."""
+    section = README.read_text().partition("## Command line")[2]
+    block = section.partition("```sh\n")[2].partition("```")[0]
+    for example in block.strip().split("\n\n"):
+        command, *output = example.splitlines()
+        yield command.removeprefix("$ "), "".join(line + "\n" for line in output)
+
+
+@pytest.mark.parametrize(
+    "command, expected", [pytest.param(*example, id=example[0]) for example in readme_examples()]
+)
+def test_readme_examples_run_as_shown(capsys, monkeypatch, command, expected):
+    out = None
+    for stage in command.split(" | "):
+        program, *argv = stage.split()
+        if stage == "tail -1":
+            out = out.splitlines(keepends=True)[-1]
+            continue
+        assert program == "pebblegame", stage
+        if out is not None:  # the pipe: the last stage's stdout is this one's stdin
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), stage
+    assert out == expected
+
+
+def test_readme_tour_min_ts_auto():
+    line = next(line for line in README.read_text().splitlines() if "pg.min_ts_auto(" in line)
+    assert line.split("#")[1].strip() == "TsRecord(best_s=19, product=142595, ...)"
+    record = pebblegame.min_ts_auto(int(line.partition("(")[2].partition(")")[0]))
+    assert (record.best_s, record.product) == (19, 142595)

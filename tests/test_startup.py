@@ -20,13 +20,14 @@ PROBE = (
 BARE = "import sys; print('modules:', *sorted(sys.modules), file=sys.stderr)"
 
 # Every name dir(pebblegame) listed when the package imported all its
-# submodules up front, by the submodule that defines it.
+# submodules up front, by the submodule that defines it, less the names
+# since removed (min_ts, parse_cost).
 PUBLIC_NAMES = {
     "analysis": """BEYOND_TABLE FGammaRow ThresholdRecord TsRecord entropy f_bound_lower_sum
-        f_bound_upper_sum f_gamma f_gamma_report min_ts min_ts_auto threshold_record
+        f_bound_upper_sum f_gamma f_gamma_report min_ts_auto threshold_record
         x_lower x_threshold x_upper""",
     "config": "",
-    "cost": "INFINITE MAX_FINITE_COST Cost format_cost parse_cost",
+    "cost": "INFINITE MAX_FINITE_COST Cost format_cost",
     "dp": "DpTables build_table delta f_cost is_solvable split_point table_delta",
     "errors": "CostOverflowError ResourceLimitError TableRangeError UnsolvableError",
     "oracle": "bfs_min_time bfs_path",

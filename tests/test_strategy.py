@@ -39,6 +39,20 @@ def play(text: str, n: int) -> Strategy:
     return Strategy(n, parse_moves(text))
 
 
+def reference_squares(reference_replay, strat: Strategy):
+    """``IntervalView.squares`` of a play by the reference replay: the closed intervals
+    of each square in the order they close, then (start, None) for a pebble left on it."""
+    ref = reference_replay(strat.n)
+    for move in strat.moves:
+        ref.feed(move.square if move.place else -move.square)
+    rows = [[] for _ in range(strat.n)]
+    for i, interval in ref.closed:
+        rows[i - 1].append(interval)
+    for i, start in ref.open_start.items():
+        rows[i - 1].append((start, None))
+    return tuple(map(tuple, rows)), ref
+
+
 def test_move_text_forms():
     assert str(place(3)) == "+3"
     assert str(remove(12)) == "-12"
@@ -251,17 +265,14 @@ def test_interval_view_rejects_enabling_rule_violations():
         to_intervals(play("+1\n+2\n-1\n-2\n", 2))
 
 
-def test_interval_round_trip_reconstruction():
+def test_interval_round_trip_reconstruction(reference_replay):
     for n, s in [(4, 3), (8, 4), (6, 4)]:
         strat = synthesize(n, s)
-        view = to_intervals(strat)
-        occupied = set()
-        for step, move in enumerate(strat.moves, 1):
-            if move.place:
-                occupied.add(move.square)
-            else:
-                occupied.discard(move.square)
-            assert view.occupied_after(step) == frozenset(occupied), (n, s, step)
+        squares = to_intervals(strat).squares
+        expected = reference_squares(reference_replay, strat)[0]
+        assert len(squares) == len(expected) == n
+        for i, (got, want) in enumerate(zip(squares, expected), 1):
+            assert got == want, (n, s, i)
 
 
 def test_interval_nesting_matches_online_detection(pairwise_nesting):
@@ -301,19 +312,14 @@ def legal_plays(draw):
 
 @settings(max_examples=150, derandomize=True)
 @given(legal_plays())
-def test_replay_by_products_agree_on_legal_plays(pairwise_nesting, strat):
+def test_replay_by_products_agree_on_legal_plays(pairwise_nesting, reference_replay, strat):
     report = verify(strat, strat.n)
     view = to_intervals(strat)
     # The checker lists nestings as intervals close, the reference by square.
     assert sorted(report.nesting_violations) == sorted(pairwise_nesting(view))
-    board = set()
-    peak = 0
-    assert view.occupied_after(0) == frozenset()
-    for step, move in enumerate(strat.moves, 1):
-        board.symmetric_difference_update({move.square})
-        peak = max(peak, len(board))
-        assert view.occupied_after(step) == frozenset(board), step
-    assert strat.peak_pebbles == report.peak_pebbles == peak
+    squares, ref = reference_squares(reference_replay, strat)
+    assert view.squares == squares
+    assert strat.peak_pebbles == report.peak_pebbles == ref.peak
 
 
 def test_empty_interval_line():
