@@ -171,16 +171,16 @@ class FGammaRow(NamedTuple):
 
 
 def f_gamma_report(s: int, tables: dp.DpTables | dp.Layer, gammas) -> list:
-    """Evaluate f at H(gamma) across a grid; infeasible points carry None.
+    """Evaluate f at H(gamma) across a grid; points past the layer's top carry None.
     ``tables`` is a DpTables or the dp.Layer for s."""
     layer, rows = _layer(tables, s), []
     for gamma in gammas:
         h = entropy(gamma)
         n = _board_size(h, s)
-        if n < 1 or n > layer.nmax or not dp.is_solvable(n, s):
+        if n > layer.top:
             rows.append(FGammaRow(gamma=gamma, h=h, n=n, f_value=None, gap=None))
             continue
-        value = f_gamma(h, s, layer)
+        value = math.log2(layer.cost(n)) / s
         rows.append(
             FGammaRow(gamma=gamma, h=h, n=n, f_value=value, gap=value - (gamma + h))
         )
@@ -202,7 +202,7 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     s_start = (n - 1).bit_length() + 1
     smax = min(n, budget // n)
     layers = dp._layers(n, smax, budget) if smax >= s_start else ()
-    floor_f = 2 * n - 1
+    floor_f = dp._ladder(n) if smax >= s_start else None  # else the budget's message first
     best = (MAX_FINITE_COST + 1, 0, 0)  # (product, S, F); every checked product is less
     for s, layer in itertools.islice(enumerate(layers, 1), s_start - 1, None):
         value = layer.cost(n)

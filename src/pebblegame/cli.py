@@ -175,6 +175,11 @@ def cmd_bounds(args, limits) -> int:
     if not 1 <= kmax <= s - 1:
         raise ValueError(f"kmax must be in [1, S-1]; got {kmax} for S={s}")
     nmax = analysis.x_upper(kmax, s) + 1
+    # Each sum is O(S) integer work, checked against the 64-bit cap before any layer.
+    sums = [
+        (analysis.f_bound_lower_sum(k, s), analysis.f_bound_upper_sum(k, s))
+        for k in range(1, kmax + 1)
+    ]
     layer = dp._last_layer(nmax, s, limits.cell_budget)
     header = [
         "k", "x_lower", "x", "x_upper",
@@ -182,10 +187,8 @@ def cmd_bounds(args, limits) -> int:
         "upper_sum", "F_upper", "ge_ok",
     ]
     rows = [header]
-    for k in range(1, kmax + 1):
+    for k, (lower_sum, upper_sum) in enumerate(sums, 1):
         record = analysis.threshold_record(k, s, layer)
-        lower_sum = analysis.f_bound_lower_sum(k, s)
-        upper_sum = analysis.f_bound_upper_sum(k, s)
         f_lower = layer.cost(record.x_lower)
         f_upper = layer.cost(record.x_upper)
         rows.append(
@@ -211,12 +214,8 @@ def cmd_tsmin(args, limits) -> int:
     from . import analysis
 
     record = analysis.min_ts_auto(args.n, cell_budget=limits.cell_budget)
-    if math.isnan(record.ratio):
-        print(f"S={record.best_s} F={record.best_f} TS={record.product}")
-    else:
-        print(
-            f"S={record.best_s} F={record.best_f} TS={record.product} ratio={record.ratio:.4f}"
-        )
+    ratio = "" if math.isnan(record.ratio) else f" ratio={record.ratio:.4f}"
+    print(f"S={record.best_s} F={record.best_f} TS={record.product}{ratio}")
     return EXIT_OK
 
 
@@ -234,11 +233,10 @@ def cmd_fgamma(args, limits) -> int:
             f"gamma grid needs {points} points materialized; cap is {limits.materialization_cap}"
         )
     gammas = [i / (2 * points) for i in range(1, points + 1)]
-    solvable_cap = 2 ** (s - 1)
     nmax = 1
     for gamma in gammas:
         n = analysis._board_size(analysis.entropy(gamma), s)
-        if 1 <= n <= solvable_cap:
+        if dp.is_solvable(n, s):
             nmax = max(nmax, n)
     layer = dp._last_layer(nmax, s, limits.cell_budget)
     print("gamma H n f gap")

@@ -14,9 +14,6 @@ CONFIG_ENV_VAR = "PEBBLEGAME_CONFIG"
 DEFAULT_CELL_BUDGET = 25_000_000
 DEFAULT_MATERIALIZATION_CAP = 2_000_000
 
-_KEYS = ("cell_budget", "materialization_cap")
-
-
 class Limits(NamedTuple):
     cell_budget: int = DEFAULT_CELL_BUDGET
     materialization_cap: int = DEFAULT_MATERIALIZATION_CAP
@@ -33,7 +30,7 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in Limits._fields:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
             number = int(value.strip())

@@ -331,15 +331,10 @@ def _column(layer: Layer, values: Iterator, pad, beyond) -> Iterator:
 
 def table_delta(tables: DpTables, n: int, s: int) -> Cost:
     """Marginal cost read from built tables, without a new layer pass."""
-    if not 1 <= s <= tables.smax:
-        raise TableRangeError(f"S={s} outside table extents (smax={tables.smax})")
+    tables._check(1, s)
     if n <= 0:
         return 0
-    if n + 1 > tables.nmax:
-        raise TableRangeError(
-            f"delta(n={n}, S={s}) needs F({n + 1}, {s}); table stops at nmax={tables.nmax}"
-        )
-    nxt = tables.f[n + 1][s]
+    nxt = tables.cost(n + 1, s)
     if nxt is INFINITE:
         return INFINITE
     return nxt - tables.f[n][s]

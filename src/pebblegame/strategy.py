@@ -15,7 +15,6 @@ by-products.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -43,9 +42,6 @@ class Move(NamedTuple):
 
     def __str__(self) -> str:
         return f"{'+' if self.place else '-'}{self.square}"
-
-    def flipped(self) -> "Move":
-        return Move(not self.place, self.square)
 
 
 def place(square: int) -> Move:
@@ -82,12 +78,12 @@ def format_moves(moves: Iterable[Move]) -> str:
     return _format_signed(_signed(moves))
 
 
-def parse_moves(text: str) -> tuple:
-    return tuple(parse_move(line) for line in text.splitlines() if line.strip())
-
-
 def _parse_lines(lines: Iterable[str]) -> Iterator[Move]:
     return (parse_move(line) for line in lines if line.strip())
+
+
+def parse_moves(text: str) -> tuple:
+    return tuple(_parse_lines(text.splitlines()))
 
 
 def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
@@ -127,9 +123,11 @@ class Strategy(_StrategyFields):
 
     Construction checks square bounds only; legality of the sequence is the
     verifier's job, so arbitrary (even broken) sequences can be carried.
-    Like the other records, it is a named tuple, ``(n, moves)``; it refuses
-    attribute assignment, and keeps only its computed peak beside the fields.
+    Like the other records, it is a named tuple, ``(n, moves)``, with no
+    attributes beside its fields.
     """
+
+    __slots__ = ()
 
     def __new__(cls, n: int, moves: Iterable[Move]) -> "Strategy":
         if n < 1:
@@ -140,21 +138,13 @@ class Strategy(_StrategyFields):
                 raise _off_board(move, n)
         return super().__new__(cls, n, moves)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @functools.cached_property
+    @property
     def peak_pebbles(self) -> int:
-        """Most pebbles held at once, by a ``ReplayChecker`` on first access.
+        """Most pebbles held at once, replayed by ``verify`` on each access.
 
         On an illegal sequence, the peak up to the first structural violation.
         """
-        checker = ReplayChecker(self.n)
-        checker.feed_signed(_signed(self.moves))
-        return checker.peak
+        return verify(self, self.n).peak_pebbles
 
     @property
     def step_count(self) -> int:
@@ -287,17 +277,16 @@ class ReplayChecker:
         finally:
             self.steps, self.peak, self.first_violation = step, peak, violation
 
-    def finish(self, expected: frozenset | None) -> VerificationReport:
-        """Check the final board (unless ``expected`` is None) and open-interval
-        nesting, and return the report of the whole replay."""
+    def finish(self, expected: frozenset) -> VerificationReport:
+        """Check the final board against ``expected`` and open-interval nesting,
+        and return the report of the whole replay."""
         if not self.halted:
             board = self._open_start
             for i in sorted(board):
                 if i + 1 in board and board[i + 1] <= board[i]:
                     self.nesting.append((i, (board[i], None)))
-            if expected is not None and board.keys() != set(expected):
-                if self.first_violation is None:
-                    self.first_violation = (self.steps, RULE_FINAL)
+            if board.keys() != set(expected) and self.first_violation is None:
+                self.first_violation = (self.steps, RULE_FINAL)
         return VerificationReport(
             valid=self.first_violation is None
             and (self.budget is None or self.peak <= self.budget),
@@ -400,7 +389,7 @@ def reverse_strategy(strategy: Strategy) -> Strategy:
     placing and removing share the same enabling condition.
     """
     return Strategy(
-        strategy.n, tuple(move.flipped() for move in reversed(strategy.moves))
+        strategy.n, tuple(Move(not move.place, move.square) for move in reversed(strategy.moves))
     )
 
 

@@ -333,6 +333,13 @@ def test_oracle_trivial(capsys):
     assert out == "bfs=1 dp=1 agree\n"
 
 
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    from pebblegame import oracle
+
+    monkeypatch.setattr(oracle, "bfs_min_time", lambda n, s: 24)
+    assert run(capsys, "oracle", "8", "4") == (1, "bfs=24 dp=25 disagree\n", "")
+
+
 def test_oracle_size_guard(capsys):
     code, _, err = run(capsys, "oracle", "25", "5")
     assert code == 65
@@ -378,6 +385,19 @@ def test_bounds_usage(capsys):
     assert run(capsys, "bounds", "5", "--kmax", "9")[0] == 64
 
 
+@pytest.mark.parametrize("flags", [(), ("--cell-budget", "100000000000")])
+def test_bounds_checks_its_sums_before_any_layer(capsys, monkeypatch, flags):
+    # From S = 24 on, f_bound_upper_sum(S-2, S) is over the 64-bit cap, so the
+    # default --kmax can never answer: no layer is merged to find that out.
+    def no_layer(*args):
+        raise AssertionError("bounds merged a layer")
+
+    monkeypatch.setattr(dp, "_last_layer", no_layer)
+    assert run(capsys, "bounds", "24", *flags) == (
+        65, "", "resource limit: f_bound_upper_sum(k=22, S=24) exceeds the 64-bit cap\n"
+    )
+
+
 def test_tsmin_small(capsys):
     code, out, _ = run(capsys, "tsmin", "4")
     assert code == 0
@@ -416,6 +436,10 @@ def test_fgamma_report(capsys):
     lines = out.splitlines()
     assert lines[0] == "gamma H n f gap"
     assert len(lines) == 11
+
+
+def test_fgamma_usage(capsys):
+    assert run(capsys, "fgamma", "0") == (64, "", "error: fgamma needs S >= 1\n")
 
 
 def test_fgamma_points_up_to_the_materialization_cap(capsys):
@@ -459,6 +483,23 @@ def test_config_file_unknown_key(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "cost", "2", "2")
     assert code == 64
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("# limits\ncell_budget 5\n", "config line 2: expected key=value, got 'cell_budget 5'"),
+        (
+            "cell_budget=5\nmaterialization_cap = 1e6\n",
+            "config line 2: materialization_cap must be an integer",
+        ),
+    ],
+)
+def test_config_file_malformed_line(capsys, tmp_path, monkeypatch, text, err):
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(text)
+    monkeypatch.setenv("PEBBLEGAME_CONFIG", str(cfg))
+    assert run(capsys, "cost", "2", "2") == (64, "", f"error: {err}\n")
 
 
 @pytest.mark.parametrize(
@@ -743,6 +784,11 @@ def test_help_comes_from_the_command_table(capsys, argv, command):
         (
             ("strategy", "100", "8", "--verify", "--cell-budget", "799"),
             "resource limit: table of 800 cells exceeds the cell budget (799)\n",
+        ),
+        # Every bound sum of S = 23 fits, so the layer's cells are priced.
+        (
+            ("bounds", "23"),
+            "resource limit: table of 96469015 cells exceeds the cell budget (25000000)\n",
         ),
     ],
 )

@@ -294,10 +294,12 @@ def test_table_delta():
     assert table_delta(tables, 0, 3) == 0
     assert table_delta(tables, 3, 3) == 4
     assert table_delta(tables, 4, 3) is INFINITE
-    with pytest.raises(TableRangeError):
+    with pytest.raises(TableRangeError, match=r"^\(n=11, S=3\) outside table extents \(10, 4\)$"):
         table_delta(tables, 10, 3)
-    with pytest.raises(TableRangeError):
+    with pytest.raises(TableRangeError, match=r"^\(n=1, S=9\) outside table extents \(10, 4\)$"):
         table_delta(tables, 2, 9)
+    with pytest.raises(TableRangeError, match=r"^\(n=1, S=0\) outside table extents"):
+        table_delta(tables, 0, 0)
 
 
 def test_tables_range_checks():

@@ -62,3 +62,11 @@ def test_reachability_frontier_small_scale():
 def test_agreement_with_recursion_spot():
     for n, s in [(4, 3), (6, 3), (12, 5), (9, 4), (16, 5)]:
         assert bfs_min_time(n, s) == f_cost(n, s), (n, s)
+
+
+def test_agreement_with_recursion_on_whole_layers():
+    # With criterion 2 (n, S <= 12), layers 1-6 are checked whole up to the
+    # oracle's n <= 20, unsolvable cells included.
+    for s in range(1, 7):
+        for n in range(13, 21):
+            assert bfs_min_time(n, s) == f_cost(n, s), (n, s)

@@ -198,6 +198,14 @@ def test_reverse_solution_empties_the_board():
         assert checker.peak <= s
 
 
+def test_replay_checker_rejects_a_board_it_cannot_hold():
+    with pytest.raises(ValueError, match=r"^board size must be >= 1, got 0$"):
+        ReplayChecker(0)
+    for initial in ({0}, {5}, {1, 5}, {-1}):
+        with pytest.raises(ValueError, match=r"^initial pebbles outside the board$"):
+            ReplayChecker(4, initial=initial)
+
+
 def test_verify_add_rule():
     report = verify(Strategy(2, (place(2),)), 2)
     assert not report.valid
