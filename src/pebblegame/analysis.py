@@ -170,21 +170,18 @@ class FGammaRow(NamedTuple):
     gap: float | None  # f(H(gamma), s) - (gamma + H(gamma))
 
 
-def f_gamma_report(s: int, tables: dp.DpTables | dp.Layer, gammas) -> list:
-    """Evaluate f at H(gamma) across a grid; points past the layer's top carry None.
-    ``tables`` is a DpTables or the dp.Layer for s."""
-    layer, rows = _layer(tables, s), []
+def f_gamma_report(s: int, tables: dp.DpTables | dp.Layer, gammas):
+    """Yield f at H(gamma) for each gamma of a grid, one row at a time; points past
+    the layer's top carry None.  ``tables`` is a DpTables or the dp.Layer for s."""
+    layer = _layer(tables, s)
     for gamma in gammas:
         h = entropy(gamma)
         n = _board_size(h, s)
         if n > layer.top:
-            rows.append(FGammaRow(gamma=gamma, h=h, n=n, f_value=None, gap=None))
+            yield FGammaRow(gamma=gamma, h=h, n=n, f_value=None, gap=None)
             continue
         value = math.log2(layer.cost(n)) / s
-        rows.append(
-            FGammaRow(gamma=gamma, h=h, n=n, f_value=value, gap=value - (gamma + h))
-        )
-    return rows
+        yield FGammaRow(gamma=gamma, h=h, n=n, f_value=value, gap=value - (gamma + h))
 
 
 def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:

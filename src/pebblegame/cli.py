@@ -232,15 +232,12 @@ def cmd_fgamma(args, limits) -> int:
         raise ResourceLimitError(
             f"gamma grid needs {points} points materialized; cap is {limits.materialization_cap}"
         )
-    gammas = [i / (2 * points) for i in range(1, points + 1)]
-    nmax = 1
-    for gamma in gammas:
-        n = analysis._board_size(analysis.entropy(gamma), s)
-        if dp.is_solvable(n, s):
-            nmax = max(nmax, n)
+    step = 2 * points  # the grid is i / step for i = 1..points, made twice, never stored
+    sizes = (analysis._board_size(analysis.entropy(i / step), s) for i in range(1, points + 1))
+    nmax = max((n for n in sizes if dp.is_solvable(n, s)), default=1)
     layer = dp._last_layer(nmax, s, limits.cell_budget)
     print("gamma H n f gap")
-    for row in analysis.f_gamma_report(s, layer, gammas):
+    for row in analysis.f_gamma_report(s, layer, (i / step for i in range(1, points + 1))):
         if row.f_value is None:
             print(f"{row.gamma:.4f} {row.h:.6f} {row.n} - -")
         else:

@@ -1,9 +1,14 @@
 """Ground truth by exhaustive search.
 
-Board states are n-bit masks (square i at bit i-1).  Breadth-first search
-over every state with at most S pebbles gives the true minimum move count
-and a witness play for small boards, independently of the recursion the
-rest of the package relies on.
+Board states are n-bit masks (square i at bit i-1), and only boards with at
+most S pebbles are visited.  Two breadth-first searches give the true minimum
+move count and a witness play for small boards, independently of the
+recursion the rest of the package relies on:
+
+- ``bfs_min_time`` searches from both ends, the empty board and {n}, in dicts
+  keyed by board, so it visits only the boards within reach of either end.
+- ``bfs_path`` searches from the empty board over an array of 2**n parents,
+  and walks the parents back from {n} for its witness.
 """
 
 from __future__ import annotations
@@ -25,39 +30,69 @@ def _validate(n: int, s: int) -> None:
         )
 
 
-def _search(n: int, s: int, track_parents: bool):
-    """BFS from the empty board; returns (dist, parents, target)."""
-    target = 1 << (n - 1)
-    budget = min(s, n)
-    size = 1 << n
-    dist = [-1] * size
-    parents = [-1] * size if track_parents else None
-    dist[0] = 0
+def _neighbours(state: int, full: int, budget: int):
+    """The boards one move from ``state``, lowest square first.
+
+    Square 1 is always enabled, and square i+1 when square i holds a pebble.
+    With ``budget`` pebbles down, only the enabled squares that hold one can move.
+    """
+    enabled = ((state << 1) | 1) & full
+    if state.bit_count() >= budget:
+        enabled &= state
+    while enabled:
+        low = enabled & -enabled
+        yield state ^ low
+        enabled ^= low
+
+
+def bfs_min_time(n: int, s: int) -> Cost:
+    """Length of the shortest legal play ending at exactly {square n}.
+
+    Each round expands one whole level of the smaller frontier, from the empty
+    board or from {n}; a move is its own inverse, so both ends use
+    ``_neighbours``.  Before a round that takes one end from depth d_a, with the
+    other at d_b, no board is on both sides, so every play is longer than
+    d_a + d_b moves.  A meet in the round is a play of d_a + 1 + d_b' moves with
+    d_b' <= d_b, so it has exactly d_a + 1 + d_b: the first meet gives the least.
+    """
+    _validate(n, s)
+    full, budget = (1 << n) - 1, min(s, n)
+    seen = ({0: 0}, {1 << (n - 1): 0})
+    fronts = [[0], [1 << (n - 1)]]
+    while fronts[0] and fronts[1]:
+        # A tie goes to the empty board, so with S = 0 its front, which has no
+        # move, empties first, before {n} (a board S = 0 cannot hold) moves.
+        side = 1 if len(fronts[1]) < len(fronts[0]) else 0
+        mine, other = seen[side], seen[1 - side]
+        depth = mine[fronts[side][0]] + 1  # one level: every board in it has one depth
+        grown = []
+        for state in fronts[side]:
+            for nxt in _neighbours(state, full, budget):
+                if nxt in other:
+                    return depth + other[nxt]
+                if nxt not in mine:
+                    mine[nxt] = depth
+                    grown.append(nxt)
+        fronts[side] = grown
+    return INFINITE
+
+
+def _search(n: int, s: int) -> list:
+    """BFS from the empty board: parents[state] is the board one move before it on
+    a shortest play, parents[0] is 0, and -1 marks a board not reached."""
+    target, full, budget = 1 << (n - 1), (1 << n) - 1, min(s, n)
+    parents = [-1] * (1 << n)
+    parents[0] = 0
     queue = deque([0])
     while queue:
         state = queue.popleft()
         if state == target:
             break
-        base = dist[state] + 1
-        for i in range(n):
-            # Toggling bit i needs square i (1-based i+1) enabled.
-            if i != 0 and not (state >> (i - 1)) & 1:
-                continue
-            nxt = state ^ (1 << i)
-            if dist[nxt] != -1 or nxt.bit_count() > budget:
-                continue
-            dist[nxt] = base
-            if parents is not None:
+        for nxt in _neighbours(state, full, budget):
+            if parents[nxt] == -1:
                 parents[nxt] = state
-            queue.append(nxt)
-    return dist, parents, target
-
-
-def bfs_min_time(n: int, s: int) -> Cost:
-    """Length of the shortest legal play ending at exactly {square n}."""
-    _validate(n, s)
-    dist, _, target = _search(n, s, track_parents=False)
-    return INFINITE if dist[target] == -1 else dist[target]
+                queue.append(nxt)
+    return parents
 
 
 def bfs_path(n: int, s: int):
@@ -65,16 +100,15 @@ def bfs_path(n: int, s: int):
     from .strategy import Move, Strategy
 
     _validate(n, s)
-    dist, parents, target = _search(n, s, track_parents=True)
-    if dist[target] == -1:
+    parents = _search(n, s)
+    state = 1 << (n - 1)
+    if parents[state] == -1:
         return None
     moves = []
-    state = target
     while state != 0:
         prev = parents[state]
         changed = state ^ prev
-        square = changed.bit_length()
-        moves.append(Move(bool(state & changed), square))
+        moves.append(Move(bool(state & changed), changed.bit_length()))
         state = prev
     moves.reverse()
     return Strategy(n, tuple(moves))

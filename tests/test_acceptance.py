@@ -218,7 +218,7 @@ def test_criterion_8_time_space_product_and_gamma_report(tables_32769_16):
             f"TS={record.product} ratio={record.ratio:.4f}"
         )
     gammas = [i / 50 for i in range(1, 26)]
-    rows = f_gamma_report(16, tables_32769_16, gammas)
+    rows = list(f_gamma_report(16, tables_32769_16, gammas))
     assert len(rows) == len(gammas)
     feasible = [row for row in rows if row.f_value is not None]
     assert feasible, "no feasible grid points at S=16"

@@ -200,7 +200,7 @@ def test_f_gamma_errors(tables_100_20):
 
 
 def test_f_gamma_report_rows(tables_100_20):
-    rows = f_gamma_report(6, tables_100_20, [0.1, 0.3, 0.5])
+    rows = list(f_gamma_report(6, tables_100_20, [0.1, 0.3, 0.5]))
     assert len(rows) == 3
     for row in rows:
         if row.f_value is not None:

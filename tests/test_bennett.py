@@ -6,9 +6,11 @@ F is nondecreasing in n and does not rise with S, so (2k-1)**m bounds
 F(n, S) for every n <= k**m and S >= m(k-1)+1.
 """
 
+import random
+
 import pytest
 
-from pebblegame import ReplayChecker
+from pebblegame import ReplayChecker, dp
 
 
 def bennett_schedule(k, m, offset=0):
@@ -45,6 +47,26 @@ def test_schedule_bounds_every_cell_it_covers(tables_2048_16):
         for s in range(m * (k - 1) + 1, t.smax + 1):
             for n in range(1, k**m + 1):
                 assert t.f[n][s] <= (2 * k - 1) ** m, (k, m, n, s)
+
+
+def test_schedule_bounds_sampled_cells_up_to_40_pebbles():
+    # Every (k, m) with m(k-1)+1 from 17 to 40, at n = k**m and three seeded n
+    # below it.  One pass of layers reaches n = 2**39 (k = 2 at S = 40), so the
+    # cell budget is lifted for it.
+    rng = random.Random(1989)
+    cells = {}
+    for s in range(17, 41):
+        for k in range(2, s + 1):
+            m, rest = divmod(s - 1, k - 1)
+            if rest == 0:
+                size = k**m
+                for n in (size, *(rng.randint(1, size) for _ in range(3))):
+                    cells.setdefault(s, []).append((k, m, n))
+    nmax = max(n for group in cells.values() for _, _, n in group)
+    assert nmax == 2**39
+    for s, layer in enumerate(dp._layers(nmax, 40, nmax * 40), 1):
+        for k, m, n in cells.get(s, ()):
+            assert layer.cost(n) <= (2 * k - 1) ** m, (k, m, n, s)
 
 
 @pytest.mark.parametrize(

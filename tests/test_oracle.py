@@ -1,5 +1,7 @@
 """Exhaustive-search ground truth: small-board checks and witness validity."""
 
+from collections import deque
+
 import pytest
 
 from pebblegame import (
@@ -12,6 +14,32 @@ from pebblegame import (
     verify,
 )
 from pebblegame.strategy import Move
+
+
+def full_array_distance(n, s):
+    """Reference: BFS from the empty board over an array of all 2**n boards,
+    trying every square in turn; the distance to {n}, or -1 when unreachable."""
+    target, budget = 1 << (n - 1), min(s, n)
+    dist = [-1] * (1 << n)
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        state = queue.popleft()
+        if state == target:
+            break
+        for i in range(n):
+            if i != 0 and not (state >> (i - 1)) & 1:
+                continue
+            nxt = state ^ (1 << i)
+            if dist[nxt] == -1 and nxt.bit_count() <= budget:
+                dist[nxt] = dist[state] + 1
+                queue.append(nxt)
+    return dist[target]
+
+
+def assert_matches_full_array(n, s):
+    expected = full_array_distance(n, s)
+    assert bfs_min_time(n, s) == (INFINITE if expected == -1 else expected), (n, s)
 
 
 def test_tiny_instances():
@@ -39,9 +67,24 @@ def test_path_unreachable():
     assert bfs_path(2, 1) is None
 
 
+def test_two_ended_search_matches_full_array_on_small_boards():
+    for n in range(1, 15):
+        for s in range(0, n + 2):
+            assert_matches_full_array(n, s)
+
+
+def test_two_ended_search_matches_full_array_on_sampled_large_boards():
+    # The least solvable budget and one below it (unsolvable) on every board;
+    # the full budget where the reference takes under 0.3 s.
+    for n in range(15, 21):
+        least = (n - 1).bit_length() + 1
+        for s in (least - 1, least) + ((n,) if n <= 17 else ()):
+            assert_matches_full_array(n, s)
+
+
 def test_witnesses_are_valid_and_minimal():
-    for n in range(1, 9):
-        for s in range(1, 5):
+    for n in range(1, 13):
+        for s in range(0, n + 2):
             shortest = bfs_min_time(n, s)
             witness = bfs_path(n, s)
             if shortest is INFINITE:
