@@ -18,7 +18,6 @@ _EXPORTS = {
         "entropy",
         "f_bound_lower_sum",
         "f_bound_upper_sum",
-        "f_gamma",
         "f_gamma_report",
         "min_ts_auto",
         "threshold_record",
@@ -48,8 +47,6 @@ _EXPORTS = {
         "format_moves",
         "iter_strategy_moves",
         "parse_moves",
-        "place",
-        "remove",
         "reverse_strategy",
         "synthesize",
         "to_intervals",

@@ -1,5 +1,6 @@
 """Derived quantities: marginal-cost thresholds, binomial bounds, entropy,
-and the exact minimum time-space product.
+the normalized log-cost on a gamma grid (``f_gamma_report``), and the exact
+minimum time-space product.
 
 All logarithms are base 2.  Binomial work uses exact integer arithmetic
 (math.comb) with an explicit 64-bit cap on results, matching the cost type.
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from . import config, dp
 from .cost import INFINITE, MAX_FINITE_COST
-from .errors import CostOverflowError, ResourceLimitError, TableRangeError, UnsolvableError
+from .errors import CostOverflowError, ResourceLimitError, TableRangeError
 
 
 class BeyondTable:
@@ -143,23 +144,6 @@ def _board_size(h: float, s: int) -> int:
         return math.floor(2 ** (h * s))
     except OverflowError:
         raise TableRangeError(f"board size 2**({h}*S) at S={s} is beyond float range") from None
-
-
-def f_gamma(gamma: float, s: int, tables: dp.DpTables | dp.Layer) -> float:
-    """Normalized log-cost (1/s) * log2 F(floor(2**(gamma*s)), s), read from a
-    DpTables or from the dp.Layer for s."""
-    dp._check_int("S", s, 1)
-    n = _board_size(gamma, s)
-    if n < 1:
-        raise ValueError(f"gamma={gamma} gives an empty board (floor 2**(gamma*S) = {n})")
-    if n > tables.nmax:
-        raise TableRangeError(
-            f"f_gamma(gamma={gamma}, S={s}) needs F({n}, {s}); table stops at nmax={tables.nmax}"
-        )
-    value = _layer(tables, s).cost(n)
-    if value is INFINITE:
-        raise UnsolvableError(f"f_gamma(gamma={gamma}, S={s}): F({n}, {s}) is infinite")
-    return math.log2(value) / s
 
 
 class FGammaRow(NamedTuple):

@@ -150,12 +150,13 @@ def cmd_verify(args, limits) -> int:
 def cmd_oracle(args, limits) -> int:
     from . import dp, oracle
 
+    oracle._validate(args.n, args.s)  # the size cap first, then the cell budget, then search
+    dp_value = dp.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
     if args.path:  # one search: the distance is the witness's length
         witness = oracle.bfs_path(args.n, args.s)
         bfs = INFINITE if witness is None else witness.step_count
     else:
         witness, bfs = None, oracle.bfs_min_time(args.n, args.s)
-    dp_value = dp.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
     agree = bfs == dp_value
     print(f"bfs={format_cost(bfs)} dp={format_cost(dp_value)} {'agree' if agree else 'disagree'}")
     if witness is not None:

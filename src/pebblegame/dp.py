@@ -63,11 +63,6 @@ class DpTables(NamedTuple):
         self._check(n, s)
         return self.f[n][s]
 
-    def split(self, n: int, s: int) -> int | None:
-        self._check(n, s)
-        value = self.m[n][s]
-        return value if value > 0 else None
-
     def layer(self, s: int) -> Layer:
         """Column s as a Layer, merged again by one pass of s layers cut at nmax."""
         self._check(1, s)

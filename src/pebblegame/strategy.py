@@ -1,16 +1,16 @@
 """Move sequences: synthesis of optimal plays, replay verification, intervals.
 
 A move is ``+i`` (place a pebble on square i) or ``-i`` (remove one).  The
-text wire format is one move per line, newline terminated.  ``Move`` is the
-type at the library boundary; inside, a play travels as lists of signed
-squares, ``+i`` as ``i`` and ``-i`` as ``-i``, so that text is written, parsed
-and replayed a chunk at a time.  Optimal plays are emitted by one loop over a
-stack of subgames, as lists of about ``CHUNK`` signed squares; a subgame
-played backwards is its parts in reverse order, each backwards.  One replay
-core, ``ReplayChecker.feed_signed``, applies moves to a board under the game
-rule that square i may change only when i == 1 or square i-1 is occupied; the
-verification report, the peak, the residence intervals and their nesting are
-by-products.
+text wire format is one move per line, newline terminated.  At the library
+boundary a move is ``Move(True, i)`` or ``Move(False, i)``; inside, a play
+travels as lists of signed squares, ``+i`` as ``i`` and ``-i`` as ``-i``, so
+that text is written, parsed and replayed a chunk at a time.  Optimal plays
+are emitted by one loop over a stack of subgames, as lists of about ``CHUNK``
+signed squares; a subgame played backwards is its parts in reverse order,
+each backwards.  One replay core, ``ReplayChecker.feed_signed``, applies
+moves to a board under the game rule that square i may change only when
+i == 1 or square i-1 is occupied; the verification report, the peak, the
+residence intervals and their nesting are by-products.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ class Move(NamedTuple):
 
     def __str__(self) -> str:
         return f"{'+' if self.place else '-'}{self.square}"
-
-
-def place(square: int) -> Move:
-    return Move(True, square)
-
-
-def remove(square: int) -> Move:
-    return Move(False, square)
 
 
 def parse_move(text: str) -> Move:
@@ -371,14 +363,15 @@ def _emit(n: int, s: int, split: Callable[[int, int], int]) -> Iterator[list]:
 
 
 def synthesize(n: int, s: int, *, max_moves: int | None = None) -> Strategy:
-    """Materialize the canonical optimal play; length equals f_cost(n, s)."""
+    """Materialize the canonical optimal play; length equals f_cost(n, s).  A play
+    longer than the cap is refused from that length, before any move is emitted."""
     cap = config.DEFAULT_MATERIALIZATION_CAP if max_moves is None else max_moves
-    moves = tuple(itertools.islice(iter_strategy_moves(n, s), max(cap, 0) + 1))
-    if len(moves) > cap:
+    split, total = _play_splits(n, s, None)
+    if total > cap:
         raise ResourceLimitError(
             f"play for n={n}, S={s} exceeds the materialization cap ({cap} moves)"
         )
-    return Strategy(n, moves)
+    return Strategy(n, _moves_of(itertools.chain.from_iterable(_emit(n, s, split))))
 
 
 def reverse_strategy(strategy: Strategy) -> Strategy:

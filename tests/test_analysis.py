@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from pebblegame import (
     BEYOND_TABLE,
+    FGammaRow,
     INFINITE,
     ResourceLimitError,
     TableRangeError,
-    UnsolvableError,
     build_table,
     entropy,
     f_bound_lower_sum,
     f_bound_upper_sum,
-    f_gamma,
     f_gamma_report,
     min_ts_auto,
     table_delta,
@@ -184,19 +183,13 @@ def test_entropy_symmetry_and_concavity():
 
 
 def test_f_gamma_values(tables_100_20):
-    assert f_gamma(0.0, 5, tables_100_20) == 0.0  # board of one square
-    tables = build_table(64, 12)
-    assert f_gamma(0.5, 12, tables) == pytest.approx(math.log2(231) / 12)
-
-
-def test_f_gamma_errors(tables_100_20):
-    with pytest.raises((TableRangeError, UnsolvableError)):
-        f_gamma(1.0, 12, tables_100_20)  # 2**S exceeds the solvable range
-    big = build_table(40, 4)
-    with pytest.raises(UnsolvableError):
-        f_gamma(1.0, 4, big)  # within the table but unreachable
-    with pytest.raises(ValueError):
-        f_gamma(-5.0, 4, big)
+    # gamma = 0 has H = 0: a board of one square, F = 1, so f = 0 and the gap is 0.
+    assert list(f_gamma_report(5, tables_100_20, [0.0])) == [FGammaRow(0.0, 0.0, 1, 0.0, 0.0)]
+    # H(0.1101) is just over 1/2, so the board is 2**6 = 64 squares and F(64, 12) = 231.
+    layer = build_table(64, 12).layer(12)
+    (row,) = f_gamma_report(12, layer, [0.1101])
+    assert row.n == 64 and layer.cost(64) == 231
+    assert row.f_value == math.log2(layer.cost(64)) / 12 == pytest.approx(math.log2(231) / 12)
 
 
 def test_f_gamma_report_rows(tables_100_20):

@@ -340,6 +340,25 @@ def test_oracle_disagreement_exits_1(capsys, monkeypatch):
     assert run(capsys, "oracle", "8", "4") == (1, "bfs=24 dp=25 disagree\n", "")
 
 
+def test_oracle_refuses_the_cell_budget_before_it_searches(capsys, monkeypatch):
+    from pebblegame import oracle
+
+    def no_search(n, s):
+        raise AssertionError("a refused query searches no board")
+
+    monkeypatch.setattr(oracle, "bfs_min_time", no_search)
+    monkeypatch.setattr(oracle, "bfs_path", no_search)
+    refusal = "resource limit: table of 240 cells exceeds the cell budget (10)\n"
+    for path in ((), ("--path",)):
+        assert run(capsys, "oracle", "20", "12", "--cell-budget", "10", *path) == (65, "", refusal)
+    # The n > 20 cap is checked before the budget.
+    code, out, err = run(capsys, "oracle", "21", "5", "--cell-budget", "1")
+    assert (code, out) == (65, "")
+    assert err == (
+        "resource limit: oracle search is capped at n <= 20 (state space 2**n); got n=21\n"
+    )
+
+
 def test_oracle_size_guard(capsys):
     code, _, err = run(capsys, "oracle", "25", "5")
     assert code == 65

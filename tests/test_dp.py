@@ -176,7 +176,6 @@ def test_build_table_single_cell():
     assert tables.f[1][1] == 1
     assert tables.m[1][1] == 0
     assert tables.cost(1, 1) == 1
-    assert tables.split(1, 1) is None
 
 
 @pytest.mark.parametrize("nmax, smax", [(1, 1), (1, 5), (3, 70), (300, 12), (5000, 3)])
@@ -307,7 +306,7 @@ def test_tables_range_checks():
     with pytest.raises(TableRangeError):
         tables.cost(6, 2)
     with pytest.raises(TableRangeError):
-        tables.split(2, 4)
+        tables.cost(2, 4)
 
 
 def _check_queries(n, s, expected_cost, expected_split, expected_next):
@@ -392,7 +391,7 @@ def test_run_layer_reads_match_table_reads(tables_2048_16, layers_2048_16):
     def check(s, n, k):
         layer = layers_2048_16[s - 1]
         assert layer.cost(n) == t.cost(n, s)
-        assert layer.split(n) == t.split(n, s)
+        assert layer.split(n) == (t.m[n][s] or None)
         if n < t.nmax:
             assert layer.delta(n) == table_delta(t, n, s)
         scan = next((x for x in range(1, t.nmax) if table_delta(t, x, s) > 2**k), BEYOND_TABLE)

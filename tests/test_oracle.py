@@ -13,6 +13,7 @@ from pebblegame import (
     is_solvable,
     verify,
 )
+from pebblegame import oracle
 from pebblegame.strategy import Move
 
 
@@ -112,4 +113,13 @@ def test_agreement_with_recursion_on_whole_layers():
     # oracle's n <= 20, unsolvable cells included.
     for s in range(1, 7):
         for n in range(13, 21):
+            assert bfs_min_time(n, s) == f_cost(n, s), (n, s)
+
+
+def test_agreement_with_recursion_on_whole_layers_past_the_cap(monkeypatch):
+    # The two-ended search visits only boards with at most S pebbles, so layers
+    # 1-6 fit well past the n <= 20 cap, which is lifted here only.
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SQUARES", 32)
+    for s in range(0, 7):
+        for n in range(21, 33):
             assert bfs_min_time(n, s) == f_cost(n, s), (n, s)

@@ -10,17 +10,16 @@ from pebblegame import (
     DpTables,
     FGammaRow,
     IntervalView,
+    Move,
     Strategy,
     ThresholdRecord,
     TsRecord,
     VerificationReport,
     build_table,
-    place,
-    remove,
 )
 from pebblegame.config import DEFAULT_CELL_BUDGET, DEFAULT_MATERIALIZATION_CAP, Limits
 
-MOVES = (place(1), place(2), remove(1))
+MOVES = (Move(True, 1), Move(True, 2), Move(False, 1))
 
 # One instance of each record, built by keyword, and its repr.
 RECORDS = [
@@ -110,7 +109,7 @@ def test_strategy_converts_moves_and_keeps_its_checks():
         ValueError,
         match=r"^move \+3 references a square outside the 2-square board$",
     ):
-        Strategy(2, [place(1), place(3)])
+        Strategy(2, [Move(True, 1), Move(True, 3)])
     with pytest.raises(TypeError):
         Strategy(2)
     # The peak is a replay on each access, not an attribute that can be set.

@@ -21,10 +21,10 @@ BARE = "import sys; print('modules:', *sorted(sys.modules), file=sys.stderr)"
 
 # Every name dir(pebblegame) listed when the package imported all its
 # submodules up front, by the submodule that defines it, less the names
-# since removed (min_ts, parse_cost).
+# since removed (min_ts, parse_cost, f_gamma, place, remove).
 PUBLIC_NAMES = {
     "analysis": """BEYOND_TABLE FGammaRow ThresholdRecord TsRecord entropy f_bound_lower_sum
-        f_bound_upper_sum f_gamma f_gamma_report min_ts_auto threshold_record
+        f_bound_upper_sum f_gamma_report min_ts_auto threshold_record
         x_lower x_threshold x_upper""",
     "config": "",
     "cost": "INFINITE MAX_FINITE_COST Cost format_cost",
@@ -32,7 +32,7 @@ PUBLIC_NAMES = {
     "errors": "CostOverflowError ResourceLimitError TableRangeError UnsolvableError",
     "oracle": "bfs_min_time bfs_path",
     "strategy": """IntervalView Move ReplayChecker Strategy VerificationReport format_moves
-        iter_strategy_moves parse_moves place remove reverse_strategy synthesize
+        iter_strategy_moves parse_moves reverse_strategy synthesize
         to_intervals verify""",
 }
 
@@ -101,3 +101,6 @@ def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
         pebblegame.nothing
     assert not hasattr(pebblegame, "DEFAULT_CELL_BUDGET")
+    for removed in ("min_ts", "parse_cost", "f_gamma", "place", "remove"):
+        assert not hasattr(pebblegame, removed), removed
+    assert not hasattr(pebblegame.DpTables, "split")

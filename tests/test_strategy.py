@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,6 @@ from pebblegame.strategy import (
     format_moves,
     parse_move,
     parse_moves,
-    place,
-    remove,
 )
 
 
@@ -54,8 +53,8 @@ def reference_squares(reference_replay, strat: Strategy):
 
 
 def test_move_text_forms():
-    assert str(place(3)) == "+3"
-    assert str(remove(12)) == "-12"
+    assert str(Move(True, 3)) == "+3"
+    assert str(Move(False, 12)) == "-12"
     assert parse_move("+7") == Move(True, 7)
     assert parse_move(" -2 ") == Move(False, 2)
     for bad in ("", "+", "2", "+-2", "+2.5", "place 2"):
@@ -64,16 +63,16 @@ def test_move_text_forms():
 
 
 def test_moves_block_round_trip():
-    moves = (place(1), place(2), remove(1))
+    moves = (Move(True, 1), Move(True, 2), Move(False, 1))
     assert format_moves(moves) == "+1\n+2\n-1\n"
     assert parse_moves("+1\n+2\n-1\n") == moves
 
 
 def test_strategy_bounds_checked():
     with pytest.raises(ValueError):
-        Strategy(2, (place(3),))
+        Strategy(2, (Move(True, 3),))
     with pytest.raises(ValueError):
-        Strategy(2, (place(0),))
+        Strategy(2, (Move(True, 0),))
     with pytest.raises(ValueError):
         Strategy(0, ())
 
@@ -86,12 +85,12 @@ def test_strategy_metadata():
 
 def test_synthesize_base_case():
     s = synthesize(1, 1)
-    assert s.moves == (place(1),)
+    assert s.moves == (Move(True, 1),)
     assert s.peak_pebbles == 1
 
 
 def test_synthesize_two_squares():
-    assert synthesize(2, 2).moves == (place(1), place(2), remove(1))
+    assert synthesize(2, 2).moves == (Move(True, 1), Move(True, 2), Move(False, 1))
 
 
 def test_synthesize_four_three():
@@ -114,6 +113,24 @@ def test_synthesize_materialization_cap():
         synthesize(8, 4, max_moves=5)
     assert synthesize(8, 4, max_moves=25).step_count == 25
     with pytest.raises(ResourceLimitError):
+        synthesize(8, 4, max_moves=24)
+
+
+def test_synthesize_refuses_before_emitting(monkeypatch):
+    """The cap is read against F from the play's splits, so no move is emitted for a
+    play over it; an unsolvable play is refused before the cap."""
+    from pebblegame import strategy
+
+    def no_emit(*args):
+        raise AssertionError("a refused play emits no move")
+
+    monkeypatch.setattr(strategy, "_emit", no_emit)
+    message = "play for n=1048576, S=21 exceeds the materialization cap (2000000 moves)"
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+        synthesize(2**20, 21)
+    with pytest.raises(UnsolvableError, match=r"^n=5 needs more than S=3 pebbles"):
+        synthesize(5, 3, max_moves=0)
+    with pytest.raises(ResourceLimitError, match=r"^play for n=8, S=4 exceeds .* \(24 moves\)$"):
         synthesize(8, 4, max_moves=24)
 
 
@@ -163,7 +180,8 @@ def test_ladder_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(dp, "build_table", no_table)
     for n, s in [(1, 1), (2, 2), (7, 9), (300, 300)]:
-        ladder = [place(i) for i in range(1, n + 1)] + [remove(i) for i in range(n - 1, 0, -1)]
+        ladder = [Move(True, i) for i in range(1, n + 1)]
+        ladder += [Move(False, i) for i in range(n - 1, 0, -1)]
         assert list(iter_strategy_moves(n, s)) == ladder, (n, s)
         assert synthesize(n, s).moves == tuple(ladder), (n, s)
 
@@ -182,8 +200,10 @@ def test_optimality_small_sweep():
 
 
 def test_reverse_examples():
-    assert reverse_strategy(play("+1\n", 1)).moves == (remove(1),)
-    assert reverse_strategy(play("+1\n+2\n-1\n", 2)).moves == (place(1), remove(2), remove(1))
+    assert reverse_strategy(play("+1\n", 1)).moves == (Move(False, 1),)
+    assert reverse_strategy(play("+1\n+2\n-1\n", 2)).moves == (
+        Move(True, 1), Move(False, 2), Move(False, 1)
+    )
 
 
 def test_reverse_solution_empties_the_board():
@@ -207,7 +227,7 @@ def test_replay_checker_rejects_a_board_it_cannot_hold():
 
 
 def test_verify_add_rule():
-    report = verify(Strategy(2, (place(2),)), 2)
+    report = verify(Strategy(2, (Move(True, 2),)), 2)
     assert not report.valid
     assert report.first_violation == (1, "add")
 
@@ -331,7 +351,7 @@ def test_replay_by_products_agree_on_legal_plays(pairwise_nesting, reference_rep
 
 
 def test_empty_interval_line():
-    view = to_intervals(Strategy(3, (place(1),)))
+    view = to_intervals(Strategy(3, (Move(True, 1),)))
     assert view.to_text() == "s1: [1,)\ns2:\ns3:\n"
 
 
@@ -468,7 +488,7 @@ def test_replay_core_matches_reference(reference_replay, case):
 def test_feed_keeps_the_sign_of_square_zero():
     checker = ReplayChecker(3)
     with pytest.raises(ValueError, match=r"^move -0 references a square outside the 3-square board$"):
-        checker.feed(remove(0))
+        checker.feed(Move(False, 0))
     with pytest.raises(ValueError, match=r"^move \+0 references a square outside the 3-square board$"):
         checker.feed_signed([0])
     assert checker.steps == 0
