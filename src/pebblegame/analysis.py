@@ -1,9 +1,9 @@
-"""Derived quantities: marginal-cost thresholds, binomial bounds, entropy,
-the normalized log-cost on a gamma grid (``f_gamma_report``), and the exact
-minimum time-space product.
+"""Derived quantities: marginal-cost thresholds, binomial bounds, entropy, the
+normalized log-cost on a gamma grid (``f_gamma_report``) and the exact minimum
+time-space product.  A DpTables or a dp.Layer is read through ``layer(s)``.
 
 All logarithms are base 2.  Binomial work uses exact integer arithmetic
-(math.comb) with an explicit 64-bit cap on results, matching the cost type.
+(math.comb), and each result passes the cost type's 64-bit cap check.
 """
 
 from __future__ import annotations
@@ -13,32 +13,23 @@ import math
 from typing import NamedTuple
 
 from . import config, dp
-from .cost import INFINITE, MAX_FINITE_COST
-from .errors import CostOverflowError, ResourceLimitError, TableRangeError
+from .cost import INFINITE, MAX_FINITE_COST, _checked
+from .errors import ResourceLimitError, TableRangeError
 
 
 class BeyondTable:
     """Marker: the threshold was not witnessed within the table extents."""
 
     __slots__ = ()
-    _instance: "BeyondTable | None" = None
 
     def __new__(cls) -> "BeyondTable":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+        return BEYOND_TABLE
 
     def __repr__(self) -> str:
         return "beyond-table"
 
 
-BEYOND_TABLE = BeyondTable()
-
-
-def _checked(value: int, what: str) -> int:
-    if value > MAX_FINITE_COST:
-        raise CostOverflowError(f"{what} exceeds the 64-bit cap")
-    return value
+BEYOND_TABLE = object.__new__(BeyondTable)
 
 
 def _validate_ks(k: int, s: int, min_s: int = 2) -> None:
@@ -66,15 +57,6 @@ class TsRecord(NamedTuple):
     ratio: float  # log2(product / n) / (2 * sqrt(log2 n)); nan for n = 1
 
 
-def _layer(tables: dp.DpTables | dp.Layer, s: int) -> dp.Layer:
-    """Layer s of ``tables``: a dp.Layer as it is, or a DpTables column as runs."""
-    if not isinstance(tables, dp.Layer):
-        return tables.layer(s)
-    if tables.s != s:
-        raise TableRangeError(f"S={s} asked of the layer for S={tables.s}")
-    return tables
-
-
 def x_threshold(k: int, s: int, tables: dp.DpTables | dp.Layer):
     """Least n with delta(n, s) > 2**k: the start of the first slope run above
     2**k, else the end of the finite part, whose delta is infinite.
@@ -83,7 +65,7 @@ def x_threshold(k: int, s: int, tables: dp.DpTables | dp.Layer):
     no n below the table's nmax witnesses the threshold.
     """
     _validate_ks(k, s, min_s=1)
-    layer = _layer(tables, s)
+    layer = tables.layer(s)
     bound, n = 2**k, 1
     for d, count in layer.runs:
         if d > bound:
@@ -157,7 +139,7 @@ class FGammaRow(NamedTuple):
 def f_gamma_report(s: int, tables: dp.DpTables | dp.Layer, gammas):
     """Yield f at H(gamma) for each gamma of a grid, one row at a time; points past
     the layer's top carry None.  ``tables`` is a DpTables or the dp.Layer for s."""
-    layer = _layer(tables, s)
+    layer = tables.layer(s)
     for gamma in gammas:
         h = entropy(gamma)
         n = _board_size(h, s)
@@ -172,9 +154,9 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     """Exact minimum of F(n, S) * S over S, with its smallest minimizer, from one
     pass over run layers cut at n; each layer gives F(n, S) as a prefix sum of its runs.
 
-    The scan from the least solvable S stops once F reaches its floor 2n - 1 (more
-    pebbles cannot shrink it, so the product only grows) or the floor alone prices
-    every later S above the best.  The cell budget bounds n * (that certifying S).
+    The scan from the least solvable S stops once the floor 2n - 1 of F prices every
+    later S at or above the best, as it does when F reaches that floor: the best is
+    then at most S * (2n - 1).  The cell budget bounds n * (that certifying S).
     ResourceLimitError comes before any layer is filled when the budget cannot reach
     the least solvable S, else when it runs out.
     """
@@ -190,7 +172,7 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
         if value is INFINITE:
             raise TableRangeError(f"F({n}, {s}) is infinite; solvability bound violated")
         best = min(best, (_checked(value * s, f"F({n},{s}) * {s}"), s, value))
-        if value == floor_f or floor_f * (s + 1) >= best[0]:
+        if floor_f * (s + 1) >= best[0]:
             product, best_s, best_f = best
             ratio = math.log2(product / n) / (2.0 * math.sqrt(math.log2(n))) if n > 1 else math.nan
             return TsRecord(n=n, best_s=best_s, best_f=best_f, product=product, ratio=ratio)

@@ -233,13 +233,22 @@ def cmd_fgamma(args, limits) -> int:
         raise ResourceLimitError(
             f"gamma grid needs {points} points materialized; cap is {limits.materialization_cap}"
         )
-    step = 2 * points  # the grid is i / step for i = 1..points, made twice, never stored
-    sizes = (analysis._board_size(analysis.entropy(i / step), s) for i in range(1, points + 1))
-    nmax = max((n for n in sizes if dp.is_solvable(n, s)), default=1)
+    step = 2 * points  # the grid is i / step for i = 1..points, never stored
+
+    def sizes(order):  # the board sizes at grid points, which rise with gamma
+        return (analysis._board_size(analysis.entropy(i / step), s) for i in order)
+    try:  # so nmax is the first solvable one from the top
+        nmax = next((n for n in sizes(range(points, 0, -1)) if dp.is_solvable(n, s)), 1)
+    except TableRangeError:  # past float range: a scan up names the least such gamma
+        for _ in sizes(range(1, points + 1)):
+            pass
+        raise
     layer = dp._last_layer(nmax, s, limits.cell_budget)
     print("gamma H n f gap")
     for row in analysis.f_gamma_report(s, layer, (i / step for i in range(1, points + 1))):
         if row.f_value is None:
+            if dp.is_solvable(row.n, s):
+                raise ArithmeticError(f"board {row.n} is solvable past nmax={nmax}: sizes fall")
             print(f"{row.gamma:.4f} {row.h:.6f} {row.n} - -")
         else:
             print(f"{row.gamma:.4f} {row.h:.6f} {row.n} {row.f_value:.6f} {row.gap:+.6f}")

@@ -3,8 +3,8 @@
 A cost is either a nonnegative int (a number of moves) or the sentinel
 ``INFINITE`` meaning the instance is unreachable.  The sentinel is a real
 value, not a saturated integer, so "unreachable" can never be confused with
-"very large".  Finite costs are capped at 2**63 - 1; sums that would pass the
-cap raise instead of wrapping or drifting.
+"very large".  Finite costs are capped at 2**63 - 1 by one check, ``_checked``:
+a sum or product that would pass the cap raises instead of wrapping or drifting.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ class InfiniteCost:
     """Singleton sentinel that compares above every finite cost."""
 
     __slots__ = ()
-    _instance: "InfiniteCost | None" = None
 
     def __new__(cls) -> "InfiniteCost":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+        return INFINITE
 
     def __repr__(self) -> str:
         return "inf"
@@ -45,7 +42,7 @@ class InfiniteCost:
         return hash("InfiniteCost")
 
 
-INFINITE = InfiniteCost()
+INFINITE = object.__new__(InfiniteCost)
 
 Cost = Union[int, InfiniteCost]
 
@@ -57,9 +54,13 @@ def cost_sum(*terms: Cost) -> Cost:
         if term is INFINITE:
             return INFINITE
         total += term
-    if total > MAX_FINITE_COST:
-        raise CostOverflowError(f"cost sum {total} exceeds the 64-bit cap")
-    return total
+    return _checked(total, f"cost sum {total}")
+
+
+def _checked(value: int, what: str) -> int:
+    if value > MAX_FINITE_COST:
+        raise CostOverflowError(f"{what} exceeds the 64-bit cap")
+    return value
 
 
 def format_cost(cost: Cost) -> str:

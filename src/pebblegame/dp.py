@@ -28,11 +28,11 @@ board has tens of thousands of squares, and the merge steps a run at a time.
 The finite part of a layer ends at n = 2**(S-1), where the merge runs out of
 finite terms; past it F is INFINITE.  F(n, S) is a prefix sum over the runs
 and the least split a prefix count over the runs of the merge order.
-``Layer`` is the one reader of the runs; its ``costs`` and ``splits`` read
-only the finite part, n <= top.  ``build_table`` expands them into whole
-tables, padded with INFINITE past each top.  ``f_cost``, ``split_point`` and
-``delta`` each run one pass of S layers cut at the queried board.
-The test suite checks the layers against a plain recursion over every split.
+``Layer`` is the one reader of the runs; its ``costs`` and ``splits`` read only
+the finite part, n <= top, and ``build_table`` pads them with INFINITE and 0
+into tables.  A split of 0 means none is defined; only ``split_point`` says
+None.  ``f_cost``, ``split_point`` and ``delta`` each run one pass of S layers
+cut at the queried board.  The tests check the layers against a plain recursion.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from . import config
-from .cost import INFINITE, MAX_FINITE_COST, Cost
+from .cost import INFINITE, MAX_FINITE_COST, Cost, _checked
 from .errors import CostOverflowError, ResourceLimitError, TableRangeError
 
 
@@ -98,17 +98,20 @@ class Layer(NamedTuple):
         self._check(n)
         return 1 + _prefix_sum(self.runs, n - 1) if n <= self.top else INFINITE
 
-    def split(self, n: int) -> int | None:
-        """Least optimal split at n; None when n <= 1 or F(n, S) is infinite."""
+    def split(self, n: int) -> int:
+        """Least optimal split at n; 0 when n <= 1 or F(n, S) is infinite."""
         self._check(n)
-        return 1 + _prefix_sum(self.picks, n - 2) if 2 <= n <= self.top else None
+        return 1 + _prefix_sum(self.picks, n - 2) if 2 <= n <= self.top else 0
 
     def delta(self, n: int) -> Cost:
         """F(n+1, S) - F(n, S), 0 for n <= 0; INFINITE at n = top."""
-        if n <= 0:
-            return 0
-        after = self.cost(n + 1)
-        return INFINITE if after is INFINITE else after - self.cost(n)
+        return _marginal(self.cost, n)
+
+    def layer(self, s: int) -> Layer:
+        """This layer, as ``DpTables.layer`` gives one; TableRangeError for another S."""
+        if s != self.s:
+            raise TableRangeError(f"S={s} asked of the layer for S={self.s}")
+        return self
 
     def costs(self) -> Iterator:
         """F(n, S) for n = 1..top, the finite part of the layer."""
@@ -130,6 +133,14 @@ class Layer(NamedTuple):
     def _check(self, n: int) -> None:
         if not 1 <= n <= self.nmax:
             raise TableRangeError(f"n={n} outside the layer for S={self.s} (nmax={self.nmax})")
+
+
+def _marginal(cost, n: int) -> Cost:
+    """F(n+1) - F(n) by ``cost``: 0 for n <= 0, INFINITE where F(n+1) is infinite."""
+    if n <= 0:
+        return 0
+    after = cost(n + 1)
+    return INFINITE if after is INFINITE else after - cost(n)
 
 
 def _check_int(name: str, value, least: int | None = None) -> None:
@@ -249,9 +260,7 @@ def _last_layer(nmax: int, s: int, cell_budget: int | None) -> Layer:
 
 def _ladder(n: int) -> int:
     """F(n, S) for S >= n: 2n - 1, from placing squares 1..n and lifting n-1..1."""
-    if 2 * n - 1 > MAX_FINITE_COST:
-        raise CostOverflowError(f"F(n={n}, S>={n}) exceeds the 64-bit cap")
-    return 2 * n - 1
+    return _checked(2 * n - 1, f"F(n={n}, S>={n})")
 
 
 def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
@@ -266,7 +275,7 @@ def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
     if s >= n:
         return _ladder(n), 1 if n > 1 else 0
     layer = _last_layer(n, s, cell_budget)
-    return layer.cost(n), layer.split(n) or 0
+    return layer.cost(n), layer.split(n)
 
 
 def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
@@ -284,18 +293,14 @@ def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
     """Marginal cost of one more square: F(n+1, s) - F(n, s), 0 for n <= 0."""
     _check_int("n", n)
     _check_int("S", s, 1)
-    if n <= 0:
-        return 0
     if s > n:
-        return _ladder(n + 1) - _ladder(n)
+        return _marginal(_ladder, n)
     return _last_layer(n + 1, s, cell_budget).delta(n)
 
 
 def is_solvable(n: int, s: int) -> bool:
     """True iff n <= 2**(s-1), without evaluating F or building 2**(s-1)."""
     _validate(n, s)
-    if s == 0:
-        return False
     return (n - 1).bit_length() <= s - 1
 
 
@@ -327,9 +332,4 @@ def _column(layer: Layer, values: Iterator, pad, beyond) -> Iterator:
 def table_delta(tables: DpTables, n: int, s: int) -> Cost:
     """Marginal cost read from built tables, without a new layer pass."""
     tables._check(1, s)
-    if n <= 0:
-        return 0
-    nxt = tables.cost(n + 1, s)
-    if nxt is INFINITE:
-        return INFINITE
-    return nxt - tables.f[n][s]
+    return _marginal(lambda m: tables.cost(m, s), n)

@@ -46,7 +46,7 @@ class Move(NamedTuple):
 
 def parse_move(text: str) -> Move:
     text = text.strip()
-    if len(text) < 2 or text[0] not in "+-" or not text[1:].isdigit():
+    if len(text) < 2 or text[0] not in "+-" or not text[1:].isdecimal():
         raise ValueError(f"malformed move {text!r}; expected +<i> or -<i>")
     return Move(text[0] == "+", int(text[1:]))
 
@@ -326,7 +326,7 @@ def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
     if s >= n:
         return (lambda n, s: 1), dp._ladder(n)
     layers = list(dp._layers(n, s, cell_budget))
-    return (lambda n, s: layers[s - 1].split(n) or 0), layers[-1].cost(n)
+    return (lambda n, s: layers[s - 1].split(n)), layers[-1].cost(n)
 
 
 def _emit(n: int, s: int, split: Callable[[int, int], int]) -> Iterator[list]:

@@ -301,6 +301,17 @@ def test_verify_reports_errors_in_input_order(capsys, monkeypatch, text, message
     assert run(capsys, "verify", "2", "2") == (64, "", f"error: {message}\n")
 
 
+def test_verify_reads_decimal_digits_only(capsys, monkeypatch):
+    # "²" is a digit to str.isdigit, but int() cannot read it; "١" is a
+    # decimal digit (Arabic-Indic one), which int() reads as 1.
+    monkeypatch.setattr("sys.stdin", io.StringIO("+²\n"))
+    assert run(capsys, "verify", "4", "3") == (
+        64, "", "error: malformed move '+²'; expected +<i> or -<i>\n"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO("+١\n"))
+    assert run(capsys, "verify", "1", "1") == (0, "T=1 peak=1 valid=true\n", "")
+
+
 def test_verify_board_is_not_sized_by_n(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin("+1\n+2\n-1\n"))
     assert run(capsys, "verify", "1000000000000", "3") == (
@@ -474,6 +485,41 @@ def test_fgamma_board_beyond_float_range(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (65, "")
     assert err.startswith("resource limit: ") and "beyond float range" in err
+
+
+def test_fgamma_names_the_least_gamma_past_float_range(capsys):
+    # Boards past float range are the top of the grid; the message names the
+    # lowest of them, gamma = 0.36 of 25 points at S = 1100, not gamma = 1/2.
+    assert run(capsys, "fgamma", "1100") == (
+        65,
+        "",
+        "resource limit: board size 2**(0.9426831892554922*S) at S=1100 is beyond float range\n",
+    )
+
+
+def test_fgamma_finds_its_largest_board_from_the_top(capsys, monkeypatch):
+    """Each grid point's entropy is worked out once for the rows, and once more
+    only for the unsolvable boards at the top and the first solvable one below."""
+    from pebblegame import analysis
+
+    calls = []
+    entropy = analysis.entropy
+    monkeypatch.setattr(analysis, "entropy", lambda gamma: calls.append(gamma) or entropy(gamma))
+    code, out, err = run(capsys, "fgamma", "10", "--points", "1000")
+    unsolvable = sum(line.endswith(" - -") for line in out.splitlines())
+    assert (code, err, unsolvable) == (0, "", 368)
+    assert len(calls) == 1000 + unsolvable + 1 == 1369
+
+
+def test_fgamma_checks_that_board_sizes_rise(capsys, monkeypatch):
+    # A grid whose top board is 1 finds nmax = 1, so a solvable board above it
+    # would print as "-": the row loop refuses it.
+    from pebblegame import analysis
+
+    board_size = analysis._board_size
+    monkeypatch.setattr(analysis, "_board_size", lambda h, s: 1 if h == 1.0 else board_size(h, s))
+    with pytest.raises(ArithmeticError, match=r"^board 4 is solvable past nmax=1: sizes fall$"):
+        main(["fgamma", "8", "--points", "10"])
 
 
 def test_identical_runs_are_byte_identical(capsys):

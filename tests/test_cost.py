@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 
 import pytest
 
@@ -9,11 +11,22 @@ from pebblegame import (
     CostOverflowError,
     format_cost,
 )
+from pebblegame.analysis import BEYOND_TABLE
 from pebblegame.cost import InfiniteCost, cost_sum
 
 
 def test_sentinel_is_a_singleton():
     assert InfiniteCost() is INFINITE
+
+
+@pytest.mark.parametrize("sentinel", [INFINITE, BEYOND_TABLE], ids=repr)
+def test_sentinels_survive_pickle_and_deepcopy(sentinel):
+    # Protocols 0 and 1 build a fresh object without calling __new__, so
+    # identity holds from protocol 2 on, where pickle calls cls.__new__.
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(sentinel, protocol)) is sentinel, protocol
+    assert copy.deepcopy(sentinel) is sentinel
+    assert copy.copy(sentinel) is sentinel
 
 
 ORDERING_OPERANDS = [0, 7, -3, 10**30, True, False, 1.5, float("inf"), "x", None, INFINITE]

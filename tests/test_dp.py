@@ -366,7 +366,7 @@ def test_run_layers_expand_to_the_naive_reference(naive_reference, nmax, smax):
         assert list(layer.splits()) == [split for _, split in expected[: layer.top]], s
         assert all(cost is INFINITE for cost, _ in expected[layer.top :]), s
         for n, (cost, split) in enumerate(expected, 1):
-            assert (layer.cost(n), layer.split(n)) == (cost, split or None), (n, s)
+            assert (layer.cost(n), layer.split(n)) == (cost, split), (n, s)
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +391,7 @@ def test_run_layer_reads_match_table_reads(tables_2048_16, layers_2048_16):
     def check(s, n, k):
         layer = layers_2048_16[s - 1]
         assert layer.cost(n) == t.cost(n, s)
-        assert layer.split(n) == (t.m[n][s] or None)
+        assert layer.split(n) == t.m[n][s]
         if n < t.nmax:
             assert layer.delta(n) == table_delta(t, n, s)
         scan = next((x for x in range(1, t.nmax) if table_delta(t, x, s) > 2**k), BEYOND_TABLE)
@@ -399,6 +399,17 @@ def test_run_layer_reads_match_table_reads(tables_2048_16, layers_2048_16):
         assert t.layer(s) == layer
 
     check()
+
+
+def test_a_layer_answers_layer_for_its_own_budget_only(layers_2048_16):
+    from pebblegame.analysis import x_threshold
+
+    layer = layers_2048_16[4]
+    assert layer.layer(5) is layer
+    with pytest.raises(TableRangeError, match=r"^S=6 asked of the layer for S=5$"):
+        layer.layer(6)
+    with pytest.raises(TableRangeError, match=r"^S=4 asked of the layer for S=5$"):
+        x_threshold(1, 4, layer)
 
 
 def test_run_layer_edges(layers_2048_16):

@@ -1,6 +1,7 @@
 """What a command-line run imports, and the package's names loaded on first use."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -104,3 +105,52 @@ def test_unknown_names_raise_attribute_error():
     for removed in ("min_ts", "parse_cost", "f_gamma", "place", "remove"):
         assert not hasattr(pebblegame, removed), removed
     assert not hasattr(pebblegame.DpTables, "split")
+
+
+# Runs the eight commands through cli.main in an interpreter started with -S,
+# so no site-packages are on sys.path; verify reads the play strategy wrote.
+STDLIB_ONLY = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+try:
+    import numpy
+except ImportError:
+    pass
+else:
+    sys.exit("numpy imported without site-packages")
+from pebblegame.cli import main
+results, play = [], ""
+for argv in json.loads(sys.argv[2]):
+    sys.stdin, out = io.StringIO(play), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    play = out.getvalue()
+    results.append([code, play.splitlines()[-1]])
+print(json.dumps({"results": results, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_every_command_runs_on_the_standard_library_alone():
+    runs = {
+        ("cost", "51", "7"): "m(51,7) = 20",
+        ("table", "10", "4", "--format", "csv"): "10,inf,inf,inf,inf",
+        ("strategy", "8", "4"): "-1",
+        ("verify", "8", "4"): "T=25 peak=4 valid=true",
+        ("oracle", "8", "4"): "bfs=25 dp=25 agree",
+        ("bounds", "5"): "4      16 16      16       162      71    ok       839      71  FAIL",
+        ("tsmin", "9"): "S=5 F=25 TS=125 ratio=1.0660",
+        ("fgamma", "8"): "0.5000 1.000000 256 - -",
+    }
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY, str(SRC), json.dumps(list(runs))],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    report = json.loads(done.stdout)
+    assert report["results"] == [[0, last_line] for last_line in runs.values()]
+    tops = {name.partition(".")[0] for name in report["modules"]} - {"__main__", "pebblegame"}
+    assert tops <= set(sys.stdlib_module_names), sorted(tops - set(sys.stdlib_module_names))
