@@ -28,6 +28,9 @@ class BeyondTable:
     def __repr__(self) -> str:
         return "beyond-table"
 
+    def __reduce__(self) -> str:
+        return "BEYOND_TABLE"  # pickle and copy look the singleton up by its module-level name
+
 
 BEYOND_TABLE = object.__new__(BeyondTable)
 

@@ -29,6 +29,9 @@ class InfiniteCost:
     def __repr__(self) -> str:
         return "inf"
 
+    def __reduce__(self) -> str:
+        return "INFINITE"  # pickle and copy look the singleton up by its module-level name
+
     # Ordering against ints makes min()/sorted() work on mixed tables.
     def __lt__(self, other):
         if isinstance(other, (int, InfiniteCost)):

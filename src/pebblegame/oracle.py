@@ -1,19 +1,12 @@
 """Ground truth by exhaustive search.
 
 Board states are n-bit masks (square i at bit i-1), and only boards with at
-most S pebbles are visited.  Two breadth-first searches give the true minimum
-move count and a witness play for small boards, independently of the
-recursion the rest of the package relies on:
-
-- ``bfs_min_time`` searches from both ends, the empty board and {n}, in dicts
-  keyed by board, so it visits only the boards within reach of either end.
-- ``bfs_path`` searches from the empty board over an array of 2**n parents,
-  and walks the parents back from {n} for its witness.
+most S pebbles are visited.  One breadth-first search, ``_meet``, runs from both
+ends, the empty board and {n}, keeping the boards it reaches in dicts.  It gives
+the least move count and a witness play apart from the recursion in ``dp``.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from . import dp
 from .cost import INFINITE, Cost
@@ -45,70 +38,76 @@ def _neighbours(state: int, full: int, budget: int):
         enabled ^= low
 
 
-def bfs_min_time(n: int, s: int) -> Cost:
-    """Length of the shortest legal play ending at exactly {square n}.
+def _meet(n: int, s: int):
+    """The two dicts, board to depth from the empty board and from {n}, and the
+    depths (f, b) of their last whole levels, once the two sides meet; or None.
 
-    Each round expands one whole level of the smaller frontier, from the empty
-    board or from {n}; a move is its own inverse, so both ends use
-    ``_neighbours``.  Before a round that takes one end from depth d_a, with the
-    other at d_b, no board is on both sides, so every play is longer than
-    d_a + d_b moves.  A meet in the round is a play of d_a + 1 + d_b' moves with
-    d_b' <= d_b, so it has exactly d_a + 1 + d_b: the first meet gives the least.
+    Each round expands one whole level of the smaller frontier; a move is its
+    own inverse, so both ends use ``_neighbours``.  Before a round that takes
+    one end from depth d_a, with the other at d_b, no board is on both sides, so
+    every play is longer than d_a + d_b moves.  A meet in the round is a play of
+    d_a + 1 + d_b' moves with d_b' <= d_b, so it has exactly d_a + 1 + d_b: the
+    first meet gives the least, f + 1 + b.
     """
-    _validate(n, s)
     full, budget = (1 << n) - 1, min(s, n)
     seen = ({0: 0}, {1 << (n - 1): 0})
     fronts = [[0], [1 << (n - 1)]]
+    depths = [0, 0]
     while fronts[0] and fronts[1]:
         # A tie goes to the empty board, so with S = 0 its front, which has no
         # move, empties first, before {n} (a board S = 0 cannot hold) moves.
         side = 1 if len(fronts[1]) < len(fronts[0]) else 0
         mine, other = seen[side], seen[1 - side]
-        depth = mine[fronts[side][0]] + 1  # one level: every board in it has one depth
+        depth = depths[side] + 1
         grown = []
         for state in fronts[side]:
             for nxt in _neighbours(state, full, budget):
                 if nxt in other:
-                    return depth + other[nxt]
+                    return seen, depths
                 if nxt not in mine:
                     mine[nxt] = depth
                     grown.append(nxt)
         fronts[side] = grown
-    return INFINITE
+        depths[side] = depth
+    return None
 
 
-def _search(n: int, s: int) -> list:
-    """BFS from the empty board: parents[state] is the board one move before it on
-    a shortest play, parents[0] is 0, and -1 marks a board not reached."""
-    target, full, budget = 1 << (n - 1), (1 << n) - 1, min(s, n)
-    parents = [-1] * (1 << n)
-    parents[0] = 0
-    queue = deque([0])
-    while queue:
-        state = queue.popleft()
-        if state == target:
-            break
-        for nxt in _neighbours(state, full, budget):
-            if parents[nxt] == -1:
-                parents[nxt] = state
-                queue.append(nxt)
-    return parents
+def bfs_min_time(n: int, s: int) -> Cost:
+    """Length of the shortest legal play ending at exactly {square n}."""
+    _validate(n, s)
+    met = _meet(n, s)
+    return INFINITE if met is None else met[1][0] + 1 + met[1][1]
 
 
 def bfs_path(n: int, s: int):
-    """A witness play of minimum length, as a ``Strategy``, or None when unreachable."""
-    from .strategy import Move, Strategy
+    """The witness, as a ``Strategy``, or None when {n} is out of reach.
 
+    The witness is the least shortest play, comparing the squares moved one by
+    one from the first move.  After k of its f + 1 + b moves, a shortest play
+    stands at depth k from the empty board while k <= f, and at depth
+    f + 1 + b - k from {n} after that.  A depth-first walk over those boards,
+    lowest square first, that drops each board that led nowhere, meets the least
+    play first; past depth f every board has a move one level down.
+    """
     _validate(n, s)
-    parents = _search(n, s)
-    state = 1 << (n - 1)
-    if parents[state] == -1:
+    met = _meet(n, s)
+    if met is None:
         return None
-    moves = []
-    while state != 0:
-        prev = parents[state]
-        changed = state ^ prev
-        moves.append(Move(bool(state & changed), changed.bit_length()))
-        state = prev
-    moves.reverse()
-    return Strategy(n, tuple(moves))
+    (up, down), (f, b) = met
+    length, full, budget = f + 1 + b, (1 << n) - 1, min(s, n)
+    boards, untried = [0], [_neighbours(0, full, budget)]
+    while len(boards) <= length:
+        k = len(boards)  # moves made once the next board is on
+        level, depth = (up, k) if k <= f else (down, length - k)
+        for nxt in untried[-1]:
+            if level.get(nxt) == depth:
+                boards.append(nxt)
+                untried.append(_neighbours(nxt, full, budget))
+                break
+        else:  # a board that led nowhere leaves the forward dict, never to be tried again
+            del up[boards.pop()]
+            untried.pop()
+    del met, up, down, level  # free the search before the module of the play loads
+    from .strategy import Move, Strategy
+    steps = zip(boards, boards[1:])  # placing a pebble sets a bit: the number grows
+    return Strategy(n, (Move(nxt > prev, (nxt ^ prev).bit_length()) for prev, nxt in steps))

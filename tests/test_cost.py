@@ -21,9 +21,8 @@ def test_sentinel_is_a_singleton():
 
 @pytest.mark.parametrize("sentinel", [INFINITE, BEYOND_TABLE], ids=repr)
 def test_sentinels_survive_pickle_and_deepcopy(sentinel):
-    # Protocols 0 and 1 build a fresh object without calling __new__, so
-    # identity holds from protocol 2 on, where pickle calls cls.__new__.
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    # Every protocol stores the module-level name, so loading finds the one object.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(sentinel, protocol)) is sentinel, protocol
     assert copy.deepcopy(sentinel) is sentinel
     assert copy.copy(sentinel) is sentinel

@@ -17,12 +17,13 @@ from pebblegame import oracle
 from pebblegame.strategy import Move
 
 
-def full_array_distance(n, s):
-    """Reference: BFS from the empty board over an array of all 2**n boards,
-    trying every square in turn; the distance to {n}, or -1 when unreachable."""
+def full_array_witness(n, s):
+    """Reference: BFS from the empty board over an array of all 2**n parents,
+    trying every square in turn, lowest first, and the play the parents walk
+    back from {n}, as a list of moves; None when {n} is unreachable."""
     target, budget = 1 << (n - 1), min(s, n)
-    dist = [-1] * (1 << n)
-    dist[0] = 0
+    parents = [-1] * (1 << n)
+    parents[0] = 0
     queue = deque([0])
     while queue:
         state = queue.popleft()
@@ -32,15 +33,28 @@ def full_array_distance(n, s):
             if i != 0 and not (state >> (i - 1)) & 1:
                 continue
             nxt = state ^ (1 << i)
-            if dist[nxt] == -1 and nxt.bit_count() <= budget:
-                dist[nxt] = dist[state] + 1
+            if parents[nxt] == -1 and nxt.bit_count() <= budget:
+                parents[nxt] = state
                 queue.append(nxt)
-    return dist[target]
+    if parents[target] == -1:
+        return None
+    moves, state = [], target
+    while state != 0:
+        changed = state ^ parents[state]
+        moves.append(Move(bool(state & changed), changed.bit_length()))
+        state = parents[state]
+    return moves[::-1]
 
 
 def assert_matches_full_array(n, s):
-    expected = full_array_distance(n, s)
-    assert bfs_min_time(n, s) == (INFINITE if expected == -1 else expected), (n, s)
+    """Both the distance and the witness of the two-ended search match the reference."""
+    expected = full_array_witness(n, s)
+    witness = bfs_path(n, s)
+    if expected is None:
+        assert bfs_min_time(n, s) is INFINITE and witness is None, (n, s)
+    else:
+        assert bfs_min_time(n, s) == len(expected), (n, s)
+        assert witness.moves == tuple(expected), (n, s)
 
 
 def test_tiny_instances():
@@ -75,11 +89,11 @@ def test_two_ended_search_matches_full_array_on_small_boards():
 
 
 def test_two_ended_search_matches_full_array_on_sampled_large_boards():
-    # The least solvable budget and one below it (unsolvable) on every board;
-    # the full budget where the reference takes under 0.3 s.
+    # The least solvable budget, one below it (unsolvable) and the full budget,
+    # where the reference walks most of the 2**n boards.
     for n in range(15, 21):
         least = (n - 1).bit_length() + 1
-        for s in (least - 1, least) + ((n,) if n <= 17 else ()):
+        for s in (least - 1, least, n):
             assert_matches_full_array(n, s)
 
 
@@ -94,6 +108,49 @@ def test_witnesses_are_valid_and_minimal():
                 assert witness.step_count == shortest
                 report = verify(witness, s)
                 assert report.valid, (n, s, report)
+
+
+def test_witness_is_the_least_shortest_play_by_brute_force():
+    # Every square of every board is tried: ends[k] holds the boards with a play
+    # of exactly k moves to {n}.  The least k that holds the empty board is F,
+    # and every play of F moves steps through ends[F - 1], ..., ends[0].
+    for n in range(1, 9):
+        for s in range(0, n + 2):
+            target = 1 << (n - 1)
+
+            def moves(board):  # each move joins two boards of at most S pebbles
+                for i in range(n):
+                    nxt = board ^ (1 << i)
+                    if (i == 0 or (board >> (i - 1)) & 1) and (board | nxt).bit_count() <= s:
+                        yield i + 1, nxt
+
+            ends = [{target}]
+            while 0 not in ends[-1] and len(ends) <= 1 << n:
+                ends.append({nxt for board in ends[-1] for _, nxt in moves(board)})
+            witness = bfs_path(n, s)
+            if 0 not in ends[-1]:  # no play is longer than 2**n - 1 moves without a repeat
+                assert witness is None, (n, s)
+                continue
+            plays, stack = [], [(0, ())]
+            while stack:
+                board, squares = stack.pop()
+                left = len(ends) - 1 - len(squares)
+                if left == 0:
+                    plays.append(squares)
+                for square, nxt in moves(board):
+                    if left and nxt in ends[left - 1]:
+                        stack.append((nxt, squares + (square,)))
+            assert witness.step_count == len(ends) - 1, (n, s)
+            assert tuple(move.square for move in witness.moves) == min(plays), (n, s, len(plays))
+
+
+def test_witness_past_the_cap(monkeypatch):
+    # The two-ended search keeps only the boards it reaches, 38,054 here, where
+    # a parent array would hold all 2**24 boards.  The cap is lifted here only.
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SQUARES", 24)
+    witness = bfs_path(24, 6)
+    assert witness.step_count == f_cost(24, 6)
+    assert verify(witness, 6).valid
 
 
 def test_reachability_frontier_small_scale():
