@@ -123,13 +123,14 @@ def cmd_strategy(args, limits) -> int:
 
 
 def cmd_verify(args, limits) -> int:
-    from . import strategy
+    from . import dp, strategy
 
     on_stdin = args.file in (None, "-")
     try:
         source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
         with source as stream:
             checker = strategy.ReplayChecker(args.n, budget=args.s)
+            dp._check_int("S", args.s, 0)  # S after n, in the order every command checks them
             for chunk in strategy._iter_chunks(stream):
                 if isinstance(chunk, list):
                     checker.feed_signed(chunk)

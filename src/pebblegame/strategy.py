@@ -4,13 +4,13 @@ A move is ``+i`` (place a pebble on square i) or ``-i`` (remove one).  The
 text wire format is one move per line, newline terminated.  At the library
 boundary a move is ``Move(True, i)`` or ``Move(False, i)``; inside, a play
 travels as lists of signed squares, ``+i`` as ``i`` and ``-i`` as ``-i``, so
-that text is written, parsed and replayed a chunk at a time.  Optimal plays
-are emitted by one loop over a stack of subgames, as lists of about ``CHUNK``
-signed squares; a subgame played backwards is its parts in reverse order,
-each backwards.  One replay core, ``ReplayChecker.feed_signed``, applies
-moves to a board under the game rule that square i may change only when
-i == 1 or square i-1 is occupied; the verification report, the peak, the
-residence intervals and their nesting are by-products.
+that text is written, parsed and replayed a chunk at a time.  Optimal plays are
+emitted by one loop over a stack of subgames, as lists of ``CHUNK`` signed
+squares; each leaf is a ladder (S >= n), and a subgame played backwards is its
+parts in reverse order, each backwards.  One replay core,
+``ReplayChecker.feed_signed``, applies moves under the game rule that square i
+may change only when i == 1 or square i-1 is occupied; the verification report,
+the peak, the residence intervals and their nesting are by-products.
 """
 
 from __future__ import annotations
@@ -86,19 +86,24 @@ def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
     of signed squares.  Other text goes through ``parse_move`` line by line and
     is yielded one ``Move`` at a time, so a consumer that applies each item
     before asking for the next sees errors in input order.  What follows the
-    cut is carried into the next read, to join a line or ``\\r\\n`` cut in two.
+    cut is held for the next read, to join a line or ``\\r\\n`` cut in two; a read
+    with no line break is only held, so a long line is scanned and joined once.
     """
-    carry = ""
+    held: list = []
     while chunk := stream.read(size):
-        text = carry + chunk
+        held.append(chunk)
+        if "\n" not in chunk and chunk.splitlines() == [chunk]:
+            continue
+        text = "".join(held)
         cut = text.rfind("\n") + 1
         if cut and _PLAIN.fullmatch(text, 0, cut):
             yield list(map(int, text[:cut].split()))
-            carry = text[cut:]
+            held = [text[cut:]]
         else:
             *lines, carry = text.splitlines(keepends=True)
             yield from _parse_lines(lines)
-    yield from _parse_lines(carry.splitlines())
+            held = [carry]
+    yield from _parse_lines("".join(held).splitlines())
 
 
 def _off_board(move, n: int) -> ValueError:
@@ -304,58 +309,62 @@ def verify(strategy: Strategy, budget: int) -> VerificationReport:
 def iter_strategy_moves(n: int, s: int) -> Iterator[Move]:
     """Stream the moves of the canonical optimal play for (n, s).
 
-    The play for n >= 2 with split m is: win the m-game, win the shifted
-    (n-m)-game with one less pebble while a pebble rests on m, then undo the
-    m-game with one less pebble by playing it backwards: the same three parts
-    in reverse order, each backwards.  Emission is lazy and iterative, so very
-    long plays are never materialized and have no depth limit; the moves are
-    those of the signed-square lists of ``_emit``, with the splits of
-    ``_play_splits``.
+    Where S >= n the play is the ladder; otherwise, with split m, it is: win the
+    m-game, win the shifted (n-m)-game with one less pebble while a pebble rests
+    on m, then undo the m-game with one less pebble by playing it backwards: the
+    same three parts in reverse order, each backwards.  Emission is lazy and
+    iterative, so very long plays are never materialized and have no depth
+    limit; the moves are those of the signed-square lists of ``_emit``, with the
+    splits of ``_play_splits``.
     """
     split = _play_splits(n, s, None)[0]
     return _moves_of(itertools.chain.from_iterable(_emit(n, s, split)))
 
 
 def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
-    """The least split at every subgame of the (n, s) play, as a function of (n, S)
-    for S <= n, and F(n, s), the play's length; UnsolvableError if n > 2**(s-1).
-    Where s >= n the play is the ladder, split 1 throughout; otherwise each split is
-    ``Layer.split`` of the run layers cut at n, under the cell budget of their table."""
+    """The least split at every subgame of the (n, s) play with S < n, as a function
+    of (n, S), and F(n, s), the play's length; UnsolvableError if n > 2**(s-1).
+    Each split is ``Layer.split`` of the run layers cut at n, under the cell budget
+    of their table.  Where s >= n the play is one ladder, which asks no split."""
     if not dp.is_solvable(n, s):
         raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
     if s >= n:
-        return (lambda n, s: 1), dp._ladder(n)
+        return None, dp._ladder(n)
     layers = list(dp._layers(n, s, cell_budget))
     return (lambda n, s: layers[s - 1].split(n)), layers[-1].cost(n)
 
 
-def _emit(n: int, s: int, split: Callable[[int, int], int]) -> Iterator[list]:
+def _emit(n: int, s: int, split: Callable[[int, int], int] | None) -> Iterator[list]:
     """The play as lists of ``CHUNK`` signed squares (the last may be shorter), from a
-    stack of (n, S, offset, backwards) subgames.  Parts are pushed reversed for a
-    forward play (first part on top), as they are for a backwards one; the checked
-    1 <= m < n makes every part smaller, so the loop ends.  The split of a subgame
-    is ``split(n, min(S, n))``, asked once per (n, S) of the play."""
+    stack of (n, S, offset, backwards) subgames.  One with S >= n is the ladder, two
+    ranges cut only where they overfill a chunk.  Any other has its three parts pushed,
+    reversed for a forward play (first part on top) as for a backwards one; the checked
+    1 <= m < n makes every part smaller, so the loop ends.  ``split(n, S)`` is asked
+    once per (n, S) of the play with S < n."""
     stack = [(n, s, 0, False)]
     chunk: list = []
     splits: dict = {}
     while stack:
-        n, s, offset, backwards = stack.pop()
-        if n == 1:
-            chunk.append(-1 - offset if backwards else 1 + offset)
-            if len(chunk) == CHUNK:
-                yield chunk
-                chunk = []
+        n, s, o, backwards = stack.pop()
+        if s >= n:  # place 1..n, lift n-1..1; backwards, place 1..n-1, lift n..1 (all + o)
+            forward = not backwards
+            for part in (range(o + 1, o + n + forward), range(forward - o - n, -o)):
+                while len(chunk) + len(part) >= CHUNK:
+                    cut = CHUNK - len(chunk)
+                    yield [*chunk, *part[:cut]]
+                    chunk, part = [], part[cut:]
+                chunk += part
             continue
         try:
             m = splits[n, s]
         except KeyError:
-            m = splits[n, s] = split(n, min(s, n))
+            m = splits[n, s] = split(n, s)
             if not 1 <= m < n:
                 raise UnsolvableError(f"no split for n={n}, S={s}") from None
         parts = (
-            (m, s, offset, backwards),
-            (n - m, s - 1, offset + m, backwards),
-            (m, s - 1, offset, not backwards),
+            (m, s, o, backwards),
+            (n - m, s - 1, o + m, backwards),
+            (m, s - 1, o, not backwards),
         )
         stack.extend(parts if backwards else reversed(parts))
     if chunk:

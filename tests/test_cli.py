@@ -326,6 +326,19 @@ def test_verify_empty_input(capsys, monkeypatch):
     assert err == "first violation: step 0 (final)\n"
 
 
+@pytest.mark.parametrize("command", ["cost", "strategy", "oracle", "verify"])
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch, command):
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin("+1\n"))
+    assert run(capsys, command, "3", "-1") == (
+        64, "", "error: S must be an integer >= 0, got -1\n"
+    )
+
+
+def test_verify_checks_the_board_size_first(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin("+1\n"))
+    assert run(capsys, "verify", "0", "-1") == (64, "", "error: board size must be >= 1, got 0\n")
+
+
 def test_oracle_agreement(capsys):
     code, out, _ = run(capsys, "oracle", "8", "4")
     assert code == 0
@@ -749,6 +762,7 @@ ARGV_CORPUS = [
     (("bounds", "5", "--kmax", "-1"), 64, NO_OUTPUT),
     (("fgamma", "8", "--points", "-2"), 64, NO_OUTPUT),
     (("verify", "+2", "2", "-"), 0, VERIFY_2_2),
+    (("verify", "1", "-1", "-"), 64, NO_OUTPUT),
     # Usage errors.
     ((), 64, NO_OUTPUT),
     (("nonsense",), 64, NO_OUTPUT),

@@ -2,7 +2,10 @@
 
 import hashlib
 import io
+import itertools
 import re
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +25,12 @@ from pebblegame import (
     verify,
 )
 from pebblegame.strategy import (
+    CHUNK,
     Move,
     _emit,
     _iter_chunks,
     _moves_of,
+    _play_splits,
     ReplayChecker,
     Strategy,
     format_moves,
@@ -135,7 +140,7 @@ def test_synthesize_refuses_before_emitting(monkeypatch):
 
 
 def test_deep_play_has_no_depth_limit():
-    # m(n, n) = 1, so each subgame's middle part is the (n-1)-game: they nest n deep.
+    # S >= n: the play is one ladder, 2n - 1 moves, however large n is.
     play = synthesize(1200, 1200)
     assert play.step_count == 2399
     report = verify(play, 1200)
@@ -152,12 +157,103 @@ def test_canonical_move_order_pinned_at_scale():
     )
 
 
+def test_canonical_move_order_pinned_with_ladders():
+    # Recorded while the emitter played each ladder square by square.
+    text = format_moves(iter_strategy_moves(16384, 20))
+    assert text.count("\n") == 408849
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "bd6bc741b1b12762c5b0290b78fa550a95fb6658dabbdec648b254d6dbc9fb34"
+    )
+
+
 @pytest.mark.parametrize("split", [0, 2, 3])
 def test_split_outside_the_board_raises(split):
-    # A split function whose only split breaks 1 <= m < n.
-    chunks = _emit(2, 2, lambda n, s: split)
-    with pytest.raises(UnsolvableError, match=r"^no split for n=2, S=2$"):
+    # A split function whose only split breaks 1 <= m < n; S < n, so it is asked.
+    chunks = _emit(2, 1, lambda n, s: split)
+    with pytest.raises(UnsolvableError, match=r"^no split for n=2, S=1$"):
         list(chunks)
+
+
+def square_by_square_emit(n, s, split):
+    """The emitter as it was before ladders were written in closed form: a leaf at
+    n == 1 and a split for every other subgame, ``split(n, min(S, n))``."""
+    stack = [(n, s, 0, False)]
+    chunk = []
+    splits = {}
+    while stack:
+        n, s, offset, backwards = stack.pop()
+        if n == 1:
+            chunk.append(-1 - offset if backwards else 1 + offset)
+            if len(chunk) == CHUNK:
+                yield chunk
+                chunk = []
+            continue
+        try:
+            m = splits[n, s]
+        except KeyError:
+            m = splits[n, s] = split(n, min(s, n))
+            if not 1 <= m < n:
+                raise UnsolvableError(f"no split for n={n}, S={s}") from None
+        parts = (
+            (m, s, offset, backwards),
+            (n - m, s - 1, offset + m, backwards),
+            (m, s - 1, offset, not backwards),
+        )
+        stack.extend(parts if backwards else reversed(parts))
+    if chunk:
+        yield chunk
+
+
+def square_by_square_play(n, s):
+    """The signed squares of the (n, s) play by ``square_by_square_emit``, with the
+    split 1 of every ladder that it asked for."""
+    split = (lambda n, s: 1) if s >= n else _play_splits(n, s, None)[0]
+    return list(itertools.chain.from_iterable(square_by_square_emit(n, s, split)))
+
+
+def emitted_play(n, s):
+    return list(itertools.chain.from_iterable(_emit(n, s, _play_splits(n, s, None)[0])))
+
+
+def test_ladder_leaves_match_the_square_by_square_emitter():
+    cases = [(n, s) for n in range(1, 200) for s in range(1, 12) if is_solvable(n, s)]
+    cases += [(n, n + k) for n in range(1, 301) for k in (0, 1, 5)]
+    cases.append((16384, 20))
+    for n, s in cases:
+        assert emitted_play(n, s) == square_by_square_play(n, s), (n, s)
+
+
+def test_splits_are_asked_only_below_the_ladder():
+    split = _play_splits(16384, 15, None)[0]
+    asked = []
+
+    def counting(n, s):
+        asked.append((n, s))
+        return split(n, s)
+
+    for _ in _emit(16384, 15, counting):
+        pass
+    # The square-by-square emitter called it 705 times, for 655 distinct (n, min(S, n)).
+    assert len(asked) == len(set(asked)) == 641
+    assert all(s < n for n, s in asked)
+
+
+def test_a_long_ladder_streams_in_whole_chunks():
+    n = 200_000
+    expected = itertools.chain(range(1, n + 1), range(1 - n, 0))
+    sizes = []
+    tracemalloc.start()
+    try:
+        for chunk in _emit(n, n, None):
+            sizes.append(len(chunk))
+            assert chunk == list(itertools.islice(expected, len(chunk)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 2 * n - 1 and next(expected, None) is None
+    assert set(sizes[:-1]) == {CHUNK} and 0 < sizes[-1] <= CHUNK
+    assert peak < 2 << 20, peak
 
 
 def test_streaming_equals_materialized():
@@ -558,6 +654,28 @@ def test_parser_fast_route_reads_plain_lines():
     # Text past the last newline is carried, then parsed line by line.
     assert _chunk_kinds("+1\n+2\r-1") == ["list", "move", "move"]
     assert tuple(_iter_moves(io.StringIO("+1\n+2\r-1"))) == parse_moves("+1\n+2\r-1")
+
+
+class _Unbroken:
+    """A stream of ``size`` characters "x", with no line break, read ``read(k)`` at a time."""
+
+    def __init__(self, size):
+        self.left = size
+
+    def read(self, k):
+        k = min(k, self.left)
+        self.left -= k
+        return "x" * k
+
+
+def test_parser_reads_a_long_unbroken_line_in_linear_time():
+    # Reads with no line break are held and joined once, when the text ends.  Joined
+    # and rescanned at every read, these 32 MiB took about 16 s of CPU on a 2-core
+    # x86 VM, against 0.2 s.
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^malformed move 'xxx"):
+        list(_iter_chunks(_Unbroken(32 << 20)))
+    assert time.process_time() - start < 3.0
 
 
 @pytest.mark.parametrize(
