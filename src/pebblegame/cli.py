@@ -60,7 +60,7 @@ def cmd_table(args, limits) -> int:
     from . import dp
 
     nmax = args.nmax
-    layers = dp._table_layers(nmax, args.smax, limits.cell_budget)
+    layers = list(dp._layers(nmax, args.smax, limits.cell_budget))
     tops = [layer.top for layer in layers]
     if any(top > after for top, after in zip(tops, tops[1:])):
         raise ArithmeticError(f"layer tops {tops} fall with S: the infinite cells are not a prefix")
@@ -136,6 +136,7 @@ def cmd_verify(args, limits) -> int:
                     checker.feed_signed(chunk)
                 else:
                     checker.feed(chunk)
+                checker.nesting.clear()  # not printed, so not held
     except OSError as exc:
         if on_stdin:
             raise

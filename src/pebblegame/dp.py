@@ -119,16 +119,13 @@ class Layer(NamedTuple):
         return itertools.accumulate(slopes, initial=1)
 
     def splits(self) -> Iterator:
-        """The least split for n = 1..top, 0 at n = 1 where none is defined."""
-        splits = itertools.chain.from_iterable(self._split_runs())
-        return itertools.chain([0, 1][: self.top], splits)
-
-    def _split_runs(self) -> Iterator:
-        """The least splits for n = 3..top, a range per G run, a repeat per H run."""
-        m = 1
+        """The least split for n = 1..top: 0 at n = 1 where none is defined, 1 at
+        n = 2, then a range per G run of the picks and a repeat per H run."""
+        runs, m = [[0, 1][: self.top]], 1
         for is_g, count in self.picks:
-            yield range(m + 1, m + count + 1) if is_g else itertools.repeat(m, count)
+            runs.append(range(m + 1, m + count + 1) if is_g else itertools.repeat(m, count))
             m += is_g * count
+        return itertools.chain.from_iterable(runs)
 
     def _check(self, n: int) -> None:
         if not 1 <= n <= self.nmax:
@@ -188,8 +185,11 @@ def _next_layer(below: Layer, nmax: int) -> Layer:
     ``_g_runs``, whose first term is an earlier output of this same merge
     (d_S(1) = 2, and G never reads past the output's end).  Each step takes
     the run at the head of H or of G, a tie going to H, so the least split
-    is kept.  Each merged slope is checked not to fall: the merge is the
-    minimum over splits only while F is convex in n.
+    is kept.  This merge is the one walk over the layer's runs, and each run
+    is checked as it is appended: its slope must not fall, since the merge is
+    the minimum over splits only while F is convex in n, and F(n, S), carried
+    from the seeded slope on, must not pass the 64-bit cap; CostOverflowError
+    names the first cell over it.
     """
     s, top = below.s + 1, min(2 * below.top, nmax)
     if top < 2:
@@ -197,8 +197,14 @@ def _next_layer(below: Layer, nmax: int) -> Layer:
     values, counts, picks = [2], [1], []
     h_runs, g_runs = iter(below.runs), _g_runs(values, counts, below.runs)
     h, g = next(h_runs, None), next(g_runs, None)
-    left = top - 2
-    while left:
+    cost, value, count, left = 1, 2, 1, top - 1  # F(1, S), then the seeded run
+    while True:
+        if cost + value * count > MAX_FINITE_COST:
+            n = top - left + (MAX_FINITE_COST - cost) // value + 1
+            raise CostOverflowError(f"F(n={n}, S={s}) exceeds the 64-bit cap")
+        cost, left = cost + value * count, left - count
+        if not left:
+            return Layer(s, nmax, top, tuple(zip(values, counts)), tuple(picks))
         is_g = h is None or (g is not None and g[0] < h[0])
         value, count = g if is_g else h
         count = min(count, left)
@@ -220,26 +226,18 @@ def _next_layer(below: Layer, nmax: int) -> Layer:
             picks[-1] = (is_g, picks[-1][1] + count)
         else:
             picks.append((is_g, count))
-        left -= count
-    return Layer(s, nmax, top, tuple(zip(values, counts)), tuple(picks))
-
-
-def _check_cap(layer: Layer) -> None:
-    """CostOverflowError naming the first cell of ``layer`` over the 64-bit cap."""
-    n, value = 1, 1
-    for d, count in layer.runs:
-        if value + d * count > MAX_FINITE_COST:
-            n += (MAX_FINITE_COST - value) // d + 1
-            raise CostOverflowError(f"F(n={n}, S={layer.s}) exceeds the 64-bit cap")
-        n, value = n + count, value + d * count
 
 
 def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[Layer]:
     """Yield the layers for S = 1..smax, each cut at nmax, as it is merged.
 
-    The cell budget bounds nmax * smax, the cells a table of these layers
-    would hold, and is checked before any layer is made.
+    Every check of a layer pass is made here or in the one walk of each
+    layer, ``_next_layer``: nmax and smax are integers >= 1, and the cell
+    budget bounds nmax * smax, the cells a table of these layers would hold,
+    all before any layer is made.
     """
+    _check_int("nmax", nmax, 1)
+    _check_int("smax", smax, 1)
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     if nmax * smax > budget:
         raise ResourceLimitError(
@@ -249,7 +247,6 @@ def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[Layer]:
     yield layer
     for _ in range(2, smax + 1):
         layer = _next_layer(layer, nmax)
-        _check_cap(layer)
         yield layer
 
 
@@ -304,16 +301,9 @@ def is_solvable(n: int, s: int) -> bool:
     return (n - 1).bit_length() <= s - 1
 
 
-def _table_layers(nmax: int, smax: int, cell_budget: int | None) -> list:
-    """The layers for S = 1..smax cut at nmax, after the checks on a table's extents."""
-    _check_int("nmax", nmax, 1)
-    _check_int("smax", smax, 1)
-    return list(_layers(nmax, smax, cell_budget))
-
-
 def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:
     """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
-    layers = _table_layers(nmax, smax, cell_budget)
+    layers = list(_layers(nmax, smax, cell_budget))
     # Zip the layers' columns, read lazily, into (n, S) rows: no column is
     # held as a list.  Each column is padded at n = 0, so row 0 comes out as
     # padding, and past the layer's top; the leading repeat adds column 0.

@@ -47,7 +47,8 @@ class Move(NamedTuple):
 def parse_move(text: str) -> Move:
     text = text.strip()
     if len(text) < 2 or text[0] not in "+-" or not text[1:].isdecimal():
-        raise ValueError(f"malformed move {text!r}; expected +<i> or -<i>")
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+        raise ValueError(f"malformed move {shown}; expected +<i> or -<i>")
     return Move(text[0] == "+", int(text[1:]))
 
 
@@ -79,7 +80,8 @@ def parse_moves(text: str) -> tuple:
 
 
 def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
-    """Parse moves from a text stream in O(size) memory, calling only ``read(size)``.
+    """Parse moves from a text stream, calling only ``read(size)``, in memory
+    O(size + the longest line): a line is held whole until its end is read.
 
     Lines are those of ``str.splitlines``, as in ``parse_moves``.  When the text
     up to the last ``\\n`` read is plain (``_PLAIN``), it is yielded as one list

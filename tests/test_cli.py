@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,28 @@ def test_verify_out_of_board_after_a_halt(capsys, monkeypatch):
 def test_verify_reports_errors_in_input_order(capsys, monkeypatch, text, message):
     monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(text))
     assert run(capsys, "verify", "2", "2") == (64, "", f"error: {message}\n")
+
+
+def _verify_peak(capsys, path, text):
+    """Exit code and tracemalloc peak of ``verify 2 2`` on ``text`` read from a file."""
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main(["verify", "2", "2", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return code, peak
+
+
+def test_verify_holds_no_nesting_records(capsys, tmp_path):
+    # 100,002 moves each: in the first, every "-1 +1" after the first closes an
+    # interval of square 1 nested in square 2's, which verify does not print.
+    nested = _verify_peak(capsys, tmp_path / "nested.txt", "+1\n+2\n" + "-1\n+1\n" * 50000)
+    flat = _verify_peak(capsys, tmp_path / "flat.txt", "+1\n-1\n" * 50001)
+    assert (nested[0], flat[0]) == (2, 2)
+    assert nested[1] < flat[1] + (1 << 20), (nested[1], flat[1])
 
 
 def test_verify_reads_decimal_digits_only(capsys, monkeypatch):

@@ -267,7 +267,7 @@ def test_cell_budget_enforced():
 
 
 @pytest.mark.parametrize("nmax, smax", [(300, 12), (5000, 14)])
-@pytest.mark.parametrize("cap", [3, 10, 100, 531, 10**5])
+@pytest.mark.parametrize("cap", [2, 3, 10, 100, 531, 10**5])
 def test_layer_pass_names_the_first_cell_over_the_cap(monkeypatch, nmax, smax, cap):
     tables = build_table(nmax, smax)
     first = next(
@@ -286,6 +286,16 @@ def test_layer_pass_names_the_first_cell_over_the_cap(monkeypatch, nmax, smax, c
     message = rf"^F\(n={first[0]}, S={first[1]}\) exceeds the 64-bit cap$"
     with pytest.raises(CostOverflowError, match=message):
         build_table(nmax, smax)
+
+
+@pytest.mark.parametrize(
+    "nmax, smax, merged", [(10**6, 30, 9523), (10**5, 305, 7178), (2**21, 22, 9732)]
+)
+def test_layer_pass_merges_a_pinned_number_of_runs(nmax, smax, merged):
+    """Runs merged by one layer pass, slope runs plus pick runs over its layers,
+    pinned so that a change to the work of the merge shows."""
+    layers = dp._layers(nmax, smax, nmax * smax)
+    assert sum(len(layer.runs) + len(layer.picks) for layer in layers) == merged
 
 
 def test_table_delta():

@@ -671,11 +671,23 @@ class _Unbroken:
 def test_parser_reads_a_long_unbroken_line_in_linear_time():
     # Reads with no line break are held and joined once, when the text ends.  Joined
     # and rescanned at every read, these 32 MiB took about 16 s of CPU on a 2-core
-    # x86 VM, against 0.2 s.
+    # x86 VM, against 0.2 s.  The error quotes only the line's first 40 characters.
     start = time.process_time()
-    with pytest.raises(ValueError, match=r"^malformed move 'xxx"):
+    with pytest.raises(ValueError, match=r"^malformed move 'xxx") as raised:
         list(_iter_chunks(_Unbroken(32 << 20)))
     assert time.process_time() - start < 3.0
+    assert len(str(raised.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "line, shown",
+    [("x" * 40, "'" + "x" * 40 + "'"), ("+" + "y" * 40, "'+" + "y" * 39 + "'...")],
+    ids=["forty-quoted-whole", "longer-cut-at-forty"],
+)
+def test_malformed_move_quotes_a_long_line_cut(line, shown):
+    with pytest.raises(ValueError) as raised:
+        parse_move(line)
+    assert str(raised.value) == f"malformed move {shown}; expected +<i> or -<i>"
 
 
 @pytest.mark.parametrize(
