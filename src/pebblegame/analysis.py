@@ -167,19 +167,19 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     s_start = (n - 1).bit_length() + 1
     smax = min(n, budget // n)
-    layers = dp._layers(n, smax, budget) if smax >= s_start else ()
-    floor_f = dp._ladder(n) if smax >= s_start else None  # else the budget's message first
-    best = (MAX_FINITE_COST + 1, 0, 0)  # (product, S, F); every checked product is less
-    for s, layer in itertools.islice(enumerate(layers, 1), s_start - 1, None):
-        value = layer.cost(n)
-        if value is INFINITE:
-            raise TableRangeError(f"F({n}, {s}) is infinite; solvability bound violated")
-        best = min(best, (_checked(value * s, f"F({n},{s}) * {s}"), s, value))
-        if floor_f * (s + 1) >= best[0]:
-            product, best_s, best_f = best
-            ratio = math.log2(product / n) / (2.0 * math.sqrt(math.log2(n))) if n > 1 else math.nan
-            return TsRecord(n=n, best_s=best_s, best_f=best_f, product=product, ratio=ratio)
+    s = s_start - 1  # every S <= s is unsolvable or scanned; S = s + 1 needs n * (s + 1) cells
+    if smax >= s_start:  # else the budget refuses, before the ladder's cap check
+        floor_f, best = dp._ladder(n), (MAX_FINITE_COST + 1, 0, 0)  # best: (product, S, F)
+        for s, layer in itertools.islice(enumerate(dp._layers(n, smax, budget), 1), s, None):
+            value = layer.cost(n)
+            if value is INFINITE:
+                raise TableRangeError(f"F({n}, {s}) is infinite; solvability bound violated")
+            best = min(best, (_checked(value * s, f"F({n},{s}) * {s}"), s, value))
+            if floor_f * (s + 1) >= best[0]:
+                product, best_s, best_f = best
+                ratio = math.log2(product / n) / (2 * math.sqrt(math.log2(n))) if n > 1 else math.nan
+                return TsRecord(n=n, best_s=best_s, best_f=best_f, product=product, ratio=ratio)
     raise ResourceLimitError(
-        f"tsmin({n}) needs at least {n * max(smax + 1, s_start)} cells to certify "
+        f"tsmin({n}) needs at least {n * (s + 1)} cells to certify "
         f"its minimum; the cell budget is {budget}"
     )

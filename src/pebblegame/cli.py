@@ -65,21 +65,16 @@ def cmd_table(args, limits) -> int:
     if any(top > after for top, after in zip(tops, tops[1:])):
         raise ArithmeticError(f"layer tops {tops} fall with S: the infinite cells are not a prefix")
     header = ["n"] + [f"S={layer.s}" for layer in layers]
-    if args.format == "plain":
-        # F rises in n, so a column is as wide as its header or its last
-        # finite cell; "inf" is no wider than "S=1", nor "n" than nmax.
-        widths = [len(str(nmax))] + [
-            max(len(head), len(str(layer.cost(layer.top))))
-            for head, layer in zip(header[1:], layers)
-        ]
-        sep, header = " ", map(str.rjust, header, widths)
-        cells = [f"%{width}s" for width in widths]
-        infinite = ["inf".rjust(width) for width in widths[1:]]
-    else:
-        sep = {"csv": ",", "tsv": "\t"}[args.format]
-        cells, infinite = ["%s"] * len(header), ["inf"] * len(layers)
+    sep = {"plain": " ", "csv": ",", "tsv": "\t"}[args.format]
+    # F rises in n, so a plain column is as wide as its header or its last finite cell
+    # ("inf" is no wider than "S=1", nor "n" than nmax); csv and tsv columns are 0 wide.
+    widths = [0] * len(header) if args.format != "plain" else [len(str(nmax))] + [
+        max(len(head), len(str(layer.cost(layer.top)))) for head, layer in zip(header[1:], layers)
+    ]
+    cells = [f"%{width}s" for width in widths]
+    infinite = ["inf".rjust(width) for width in widths[1:]]
     write = sys.stdout.write
-    write(sep.join(header) + "\n")
+    write(sep.join(map(str.rjust, header, widths)) + "\n")
     costs = [layer.costs() for layer in layers]
     first = 1
     for k, last in enumerate(tops + [nmax]):  # band k: rows first..last
@@ -127,6 +122,8 @@ def cmd_verify(args, limits) -> int:
 
     on_stdin = args.file in (None, "-")
     try:
+        if on_stdin and sys.stdin is None:  # the process started with stdin closed
+            raise OSError("it is closed")
         source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
         with source as stream:
             checker = strategy.ReplayChecker(args.n, budget=args.s)
@@ -138,9 +135,8 @@ def cmd_verify(args, limits) -> int:
                     checker.feed(chunk)
                 checker.nesting.clear()  # not printed, so not held
     except OSError as exc:
-        if on_stdin:
-            raise
-        raise ValueError(f"cannot read moves file {args.file!r}: {exc}") from exc
+        where = "from stdin" if on_stdin else f"file {args.file!r}"
+        raise ValueError(f"cannot read moves {where}: {exc}") from exc
     report = checker.finish(expected=frozenset({args.n}))
     print(_summary_line(report))
     if report.first_violation is not None:

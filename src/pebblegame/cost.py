@@ -19,7 +19,7 @@ MAX_FINITE_COST = 2**63 - 1
 
 @functools.total_ordering
 class InfiniteCost:
-    """Singleton sentinel that compares above every finite cost."""
+    """Singleton sentinel that compares above every finite cost; equal only to itself."""
 
     __slots__ = ()
 
@@ -37,12 +37,6 @@ class InfiniteCost:
         if isinstance(other, (int, InfiniteCost)):
             return False
         return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteCost)
-
-    def __hash__(self):
-        return hash("InfiniteCost")
 
 
 INFINITE = object.__new__(InfiniteCost)

@@ -103,10 +103,6 @@ class Layer(NamedTuple):
         self._check(n)
         return 1 + _prefix_sum(self.picks, n - 2) if 2 <= n <= self.top else 0
 
-    def delta(self, n: int) -> Cost:
-        """F(n+1, S) - F(n, S), 0 for n <= 0; INFINITE at n = top."""
-        return _marginal(self.cost, n)
-
     def layer(self, s: int) -> Layer:
         """This layer, as ``DpTables.layer`` gives one; TableRangeError for another S."""
         if s != self.s:
@@ -292,7 +288,7 @@ def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
     _check_int("S", s, 1)
     if s > n:
         return _marginal(_ladder, n)
-    return _last_layer(n + 1, s, cell_budget).delta(n)
+    return _marginal(_last_layer(n + 1, s, cell_budget).cost, n)
 
 
 def is_solvable(n: int, s: int) -> bool:

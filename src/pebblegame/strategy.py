@@ -31,9 +31,9 @@ RULE_BUDGET = "budget"
 
 # Signed squares per list yielded by the emitter.
 CHUNK = 8192
-# A block of moves the parser may read by int() alone: each line a sign and a
-# square in plain ASCII digits, no leading zero, "\n" terminated.
-_PLAIN = re.compile(r"(?:[+-][1-9][0-9]*\n)*")
+# A block of moves the parser may read by int() alone: each line a sign and a square of
+# 1 to 640 ASCII digits (int() reads 640 under any limit), no leading zero, "\n" ended.
+_PLAIN = re.compile(r"(?:[+-][1-9][0-9]{0,639}\n)*")
 
 
 class Move(NamedTuple):
@@ -49,7 +49,10 @@ def parse_move(text: str) -> Move:
     if len(text) < 2 or text[0] not in "+-" or not text[1:].isdecimal():
         shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
         raise ValueError(f"malformed move {shown}; expected +<i> or -<i>")
-    return Move(text[0] == "+", int(text[1:]))
+    try:
+        return Move(text[0] == "+", int(text[1:]))
+    except ValueError:  # more digits than int() reads, so past any board size read as text
+        raise ValueError(f"move {text[:40]!r}... references a square outside the board") from None
 
 
 def _signed(moves: Iterable[Move]) -> list:
@@ -193,10 +196,6 @@ class ReplayChecker:
         """The occupied squares, as a set-like view."""
         return self._open_start.keys()
 
-    @property
-    def halted(self) -> bool:
-        return self.halt is not None
-
     def feed(self, move: Move) -> Optional[tuple]:
         """Apply one move; return the closed interval (start, end) of a remove, else None.
 
@@ -279,7 +278,7 @@ class ReplayChecker:
     def finish(self, expected: frozenset) -> VerificationReport:
         """Check the final board against ``expected`` and open-interval nesting,
         and return the report of the whole replay."""
-        if not self.halted:
+        if self.halt is None:
             board = self._open_start
             for i in sorted(board):
                 if i + 1 in board and board[i + 1] <= board[i]:
@@ -433,7 +432,7 @@ def _replay_intervals(checker: ReplayChecker, chunks: Iterable[list]) -> Interva
     for chunk in chunks:
         before = checker.steps
         checker.feed_signed(chunk, closed)
-        if checker.halted:
+        if checker.halt is not None:
             step, rule = checker.halt
             move = chunk[step - before - 1]
             raise ValueError(f"step {step}: move {move:+d} breaks the {rule} rule")

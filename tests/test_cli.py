@@ -335,6 +335,35 @@ def test_verify_reads_decimal_digits_only(capsys, monkeypatch):
     assert run(capsys, "verify", "1", "1") == (0, "T=1 peak=1 valid=true\n", "")
 
 
+LONG_SQUARE = "+" + "1" * 5000  # more digits than int() reads by default
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Every line a sign and digits, "\n" ended: all but the long square are plain.
+        "+1\n-1\n" + LONG_SQUARE + "\n",
+        # Not plain: parsed line by line, the long square last, with no line break.
+        "+1\r\n-1\n" + LONG_SQUARE,
+    ],
+    ids=["plain-lines", "line-by-line"],
+)
+def test_verify_refuses_a_square_too_long_to_read(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(text))
+    code, out, err = run(capsys, "verify", "3", "3")
+    assert (code, out) == (64, "")
+    assert err == f"error: move {LONG_SQUARE[:40]!r}... references a square outside the board\n"
+    assert len(err.encode()) < 200
+
+
+def test_verify_refuses_a_closed_stdin(capsys, monkeypatch):
+    # A process started with stdin closed (`<&-`) has sys.stdin None.
+    monkeypatch.setattr("sys.stdin", None)
+    assert run(capsys, "verify", "3", "3") == (
+        64, "", "error: cannot read moves from stdin: it is closed\n"
+    )
+
+
 def test_verify_board_is_not_sized_by_n(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin("+1\n+2\n-1\n"))
     assert run(capsys, "verify", "1000000000000", "3") == (

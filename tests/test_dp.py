@@ -403,7 +403,7 @@ def test_run_layer_reads_match_table_reads(tables_2048_16, layers_2048_16):
         assert layer.cost(n) == t.cost(n, s)
         assert layer.split(n) == t.m[n][s]
         if n < t.nmax:
-            assert layer.delta(n) == table_delta(t, n, s)
+            assert dp._marginal(layer.cost, n) == table_delta(t, n, s)
         scan = next((x for x in range(1, t.nmax) if table_delta(t, x, s) > 2**k), BEYOND_TABLE)
         assert x_threshold(k, s, layer) == x_threshold(k, s, t) == scan
         assert t.layer(s) == layer
@@ -428,15 +428,15 @@ def test_run_layer_edges(layers_2048_16):
     assert x_threshold(2, 1, layers_2048_16[0]) == 1  # delta(1, 1) is infinite
     for s, layer in enumerate(layers_2048_16[:11], 1):
         top = 2 ** (s - 1)
-        assert layer.top == top and layer.delta(top) is INFINITE, s
-        assert layer.delta(0) == 0 and layer.cost(top + 1) is INFINITE
+        assert layer.top == top and dp._marginal(layer.cost, top) is INFINITE, s
+        assert dp._marginal(layer.cost, 0) == 0 and layer.cost(top + 1) is INFINITE
     small = dp._last_layer(4, 8, None)
     assert x_threshold(5, 8, small) is BEYOND_TABLE
     assert x_threshold(5, 8, build_table(4, 8)) is BEYOND_TABLE
     with pytest.raises(TableRangeError):
         small.cost(5)
     with pytest.raises(TableRangeError):
-        small.delta(4)  # F(5, 8) lies past the cut
+        dp._marginal(small.cost, 4)  # F(5, 8) lies past the cut
     with pytest.raises(TableRangeError):
         x_threshold(1, 7, small)
 

@@ -153,6 +153,14 @@ def test_witness_past_the_cap(monkeypatch):
     assert verify(witness, 6).valid
 
 
+@pytest.mark.parametrize("n, s, boards", [(20, 20, 28656), (20, 12, 421815)])
+def test_search_stores_a_pinned_number_of_boards(n, s, boards):
+    """Boards stored by the one search, both dicts together, pinned so that a
+    change to the work of the search shows."""
+    up, down = oracle._meet(n, s)[0]
+    assert len(up) + len(down) == boards
+
+
 def test_reachability_frontier_small_scale():
     for n in range(1, 17):
         for s in range(1, 6):

@@ -525,7 +525,7 @@ def _replay_state(checker, closed):
         checker.steps,
         checker.peak,
         checker.first_violation,
-        checker.halted,
+        checker.halt is not None,
         checker.nesting,
         closed,
         dict(checker._open_start),
@@ -654,6 +654,16 @@ def test_parser_fast_route_reads_plain_lines():
     # Text past the last newline is carried, then parsed line by line.
     assert _chunk_kinds("+1\n+2\r-1") == ["list", "move", "move"]
     assert tuple(_iter_moves(io.StringIO("+1\n+2\r-1"))) == parse_moves("+1\n+2\r-1")
+
+
+def test_parser_leaves_a_square_past_640_digits_to_parse_move():
+    # int() reads 640 digits under any digit limit; a longer square goes line by line,
+    # where parse_move refuses one of more digits than int() reads as off the board.
+    assert _chunk_kinds("+" + "1" * 640 + "\n") == ["list"]
+    assert _chunk_kinds("+1\n+" + "1" * 641 + "\n") == ["move", "move"]
+    with pytest.raises(ValueError) as raised:
+        parse_move("-" + "2" * 5000)
+    assert str(raised.value) == f"move {'-' + '2' * 39!r}... references a square outside the board"
 
 
 class _Unbroken:
