@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Exit codes are a stable contract: 0 success/finite, 2 unsolvable or invalid,
-64 usage error, 65 resource limit.  Data goes to stdout, diagnostics to
-stderr, and identical invocations produce byte-identical output.  A process
-reads its command line by the COMMANDS table, not argparse, and imports only
-the modules its command runs, so that start-up stays small.  A handler
-that cannot answer raises, and ``main`` alone turns the error into its
-stderr line and exit code.
+Exit codes are a stable contract: 0 success/finite, 1 oracle disagreement (bfs and dp),
+2 unsolvable or invalid, 64 usage error, 65 resource limit.  Data goes to stdout, all of
+it through ``print``, so a closed stdout is treated as /dev/null, as a cut pipe is;
+diagnostics go to stderr, and identical invocations produce byte-identical output.  A
+process reads its command line by the COMMANDS table, not argparse, and imports only the
+modules its command runs, so that start-up stays small.  A handler that cannot answer
+raises, and ``main`` alone turns the error into its stderr line and exit code.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ def cmd_table(args, limits) -> int:
     ]
     cells = [f"%{width}s" for width in widths]
     infinite = ["inf".rjust(width) for width in widths[1:]]
-    write = sys.stdout.write
-    write(sep.join(map(str.rjust, header, widths)) + "\n")
+    print(sep.join(map(str.rjust, header, widths)))
     costs = [layer.costs() for layer in layers]
     first = 1
     for k, last in enumerate(tops + [nmax]):  # band k: rows first..last
@@ -82,7 +81,7 @@ def cmd_table(args, limits) -> int:
         rows = zip(range(first, last + 1), *costs[k:])
         width = len(layers) - k + 1
         while values := tuple(itertools.chain.from_iterable(itertools.islice(rows, TABLE_BLOCK))):
-            write(line * (len(values) // width) % values)
+            print(line * (len(values) // width) % values, end="")
         first = last + 1
     return EXIT_OK
 
@@ -105,11 +104,10 @@ def cmd_strategy(args, limits) -> int:
                 f"interval view needs {total} moves materialized; cap is "
                 f"{limits.materialization_cap} (the moves format streams instead)"
             )
-        sys.stdout.write(strategy._replay_intervals(checker, chunks).to_text())
+        print(strategy._replay_intervals(checker, chunks).to_text(), end="")
     else:
-        write = sys.stdout.write
         for chunk in chunks:
-            write(strategy._format_signed(chunk))
+            print(strategy._format_signed(chunk), end="")
             if args.verify:
                 checker.feed_signed(chunk)
     if args.verify:
@@ -158,7 +156,7 @@ def cmd_oracle(args, limits) -> int:
     agree = bfs == dp_value
     print(f"bfs={format_cost(bfs)} dp={format_cost(dp_value)} {'agree' if agree else 'disagree'}")
     if witness is not None:
-        sys.stdout.write(witness.to_text())
+        print(witness.to_text(), end="")
     if not agree:
         return EXIT_DISAGREE
     return EXIT_OK if bfs is not INFINITE else EXIT_UNSOLVABLE
@@ -205,7 +203,7 @@ def cmd_bounds(args, limits) -> int:
             ]
         )
     widths = [max(map(len, column)) for column in zip(*rows)]
-    sys.stdout.write("".join(" ".join(map(str.rjust, row, widths)) + "\n" for row in rows))
+    print("\n".join(" ".join(map(str.rjust, row, widths)) for row in rows))
     return EXIT_OK
 
 
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
         return handler(args, limits)
     except _Stop as stop:
         code, text = stop.args
-        (sys.stdout if code == EXIT_OK else sys.stderr).write(text)
+        print(text, end="", file=sys.stdout if code == EXIT_OK else sys.stderr)
         return code
     except UnsolvableError as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)

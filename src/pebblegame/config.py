@@ -40,19 +40,14 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def load_limits(
-    cell_budget: int | None = None,
-    materialization_cap: int | None = None,
-    env: dict | None = None,
-) -> Limits:
+def load_limits(cell_budget: int | None = None, materialization_cap: int | None = None) -> Limits:
     """Resolve limits: explicit argument > config file > built-in default.
 
     Every value given, by argument or in the file, must be positive: ValueError
     otherwise, even where an argument overrides the file's value.
     """
-    env = os.environ if env is None else env
     from_file: dict = {}
-    path = env.get(CONFIG_ENV_VAR)
+    path = os.environ.get(CONFIG_ENV_VAR)
     if path:
         try:
             with open(path, encoding="utf-8") as handle:

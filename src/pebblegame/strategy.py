@@ -112,7 +112,9 @@ def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
 
 
 def _off_board(move, n: int) -> ValueError:
-    return ValueError(f"move {move} references a square outside the {n}-square board")
+    text = str(move)
+    shown = text if len(text) <= 40 else f"{text[:40]}..."
+    return ValueError(f"move {shown} references a square outside the {n}-square board")
 
 
 class _StrategyFields(NamedTuple):

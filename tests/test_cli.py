@@ -356,12 +356,54 @@ def test_verify_refuses_a_square_too_long_to_read(capsys, monkeypatch, text):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("digits", [600, 4000], ids=["plain-lines", "line-by-line"])
+def test_verify_cuts_the_quote_of_an_off_board_square(capsys, monkeypatch, digits):
+    # int() reads both squares; 600 digits are in a plain chunk, while 4,000 are
+    # past the 640 that a plain line may hold, so that chunk is parsed line by line.
+    square = "+" + "1" * digits
+    monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(f"+1\n-1\n{square}\n"))
+    code, out, err = run(capsys, "verify", "3", "3")
+    assert (code, out) == (64, "")
+    assert err == f"error: move {square[:40]}... references a square outside the 3-square board\n"
+    assert len(err.encode()) < 200
+
+
 def test_verify_refuses_a_closed_stdin(capsys, monkeypatch):
     # A process started with stdin closed (`<&-`) has sys.stdin None.
     monkeypatch.setattr("sys.stdin", None)
     assert run(capsys, "verify", "3", "3") == (
         64, "", "error: cannot read moves from stdin: it is closed\n"
     )
+
+
+CLOSED_STDOUT_CASES = [
+    ("table", "10", "4"),
+    ("strategy", "4", "3"),
+    ("strategy", "4", "3", "--verify"),
+    ("strategy", "4", "3", "--emit", "intervals"),
+    ("bounds", "5"),
+    ("oracle", "4", "3", "--path"),
+    ("--help",),
+    ("cost", "51", "7"),
+    ("tsmin", "64"),
+    ("fgamma", "8"),
+    ("verify", "2", "2"),
+]
+
+
+def test_closed_stdout_cases_cover_every_command():
+    assert {argv[0] for argv in CLOSED_STDOUT_CASES} >= set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_CASES, ids=" ".join)
+def test_closed_stdout_keeps_the_exit_code_and_stderr(capsys, monkeypatch, argv):
+    # A process started with stdout closed (`>&-`) has sys.stdout None: it exits
+    # as with stdout on /dev/null.  verify reads a valid play from stdin.
+    monkeypatch.setattr("sys.stdin", io.StringIO("+1\n+2\n-1\n"))
+    code, _, err = run(capsys, *argv)
+    monkeypatch.setattr("sys.stdin", io.StringIO("+1\n+2\n-1\n"))
+    monkeypatch.setattr("sys.stdout", None)
+    assert (main(list(argv)), capsys.readouterr().err) == (code, err)
 
 
 def test_verify_board_is_not_sized_by_n(capsys, monkeypatch):

@@ -590,6 +590,16 @@ def test_feed_keeps_the_sign_of_square_zero():
     assert checker.steps == 0
 
 
+def test_feed_cuts_the_quote_of_a_long_square():
+    checker = ReplayChecker(3)
+    with pytest.raises(ValueError, match=r"^move \+1" + "0" * 38 + r"\.\.\. references a square "):
+        checker.feed(Move(True, 10**100))
+    # 40 characters are quoted whole.
+    with pytest.raises(ValueError, match=r"^move \+1" + "0" * 38 + r" references a square "):
+        checker.feed(Move(True, 10**38))
+    assert checker.steps == 0
+
+
 # -- the chunked parser against parse_moves ------------------------------------
 
 text_pieces = st.sampled_from(
