@@ -12,6 +12,7 @@ raises, and ``main`` alone turns the error into its stderr line and exit code.
 from __future__ import annotations
 
 import contextlib
+import gc
 import itertools
 import math
 import sys
@@ -96,7 +97,8 @@ def cmd_strategy(args, limits) -> int:
 
     n, s = args.n, args.s
     split, total = strategy._play_splits(n, s, limits.cell_budget)
-    checker = strategy.ReplayChecker(n, budget=s)
+    replays = args.verify or args.emit == "intervals"  # else no board (up to 8 MB) is made
+    checker = strategy.ReplayChecker(n, budget=s) if replays else None
     chunks = strategy._emit(n, s, split)
     if args.emit == "intervals":
         if total > limits.materialization_cap:
@@ -106,8 +108,9 @@ def cmd_strategy(args, limits) -> int:
             )
         print(strategy._replay_intervals(checker, chunks).to_text(), end="")
     else:
+        lines = strategy._lines(n)
         for chunk in chunks:
-            print(strategy._format_signed(chunk), end="")
+            print(strategy._format_signed(chunk, lines), end="")
             if args.verify:
                 checker.feed_signed(chunk)
     if args.verify:
@@ -126,7 +129,7 @@ def cmd_verify(args, limits) -> int:
         with source as stream:
             checker = strategy.ReplayChecker(args.n, budget=args.s)
             dp._check_int("S", args.s, 0)  # S after n, in the order every command checks them
-            for chunk in strategy._iter_chunks(stream):
+            for chunk in strategy._iter_chunks(stream, n=args.n):
                 if isinstance(chunk, list):
                     checker.feed_signed(chunk)
                 else:
@@ -388,6 +391,8 @@ def _parse(argv: list) -> tuple:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the program: no collection walks the start-up heap, nor the one at exit
+        gc.freeze()
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         limits = config.load_limits(args.cell_budget, args.max_moves)

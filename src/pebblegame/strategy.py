@@ -6,15 +6,17 @@ boundary a move is ``Move(True, i)`` or ``Move(False, i)``; inside, a play
 travels as lists of signed squares, ``+i`` as ``i`` and ``-i`` as ``-i``, so
 that text is written, parsed and replayed a chunk at a time.  Optimal plays are
 emitted by one loop over a stack of subgames, as lists of ``CHUNK`` signed
-squares; each leaf is a ladder (S >= n), and a subgame played backwards is its
-parts in reverse order, each backwards.  One replay core,
-``ReplayChecker.feed_signed``, applies moves under the game rule that square i
-may change only when i == 1 or square i-1 is occupied; the verification report,
-the peak, the residence intervals and their nesting are by-products.
+squares; each leaf is a ladder (S >= n) or a small subgame copied from a memo,
+and a subgame played backwards is its parts in reverse order, each backwards.
+One replay core, ``ReplayChecker.feed_signed``, applies moves under the game
+rule that square i may change only when i == 1 or square i-1 is occupied; the
+verification report, the peak, the residence intervals and their nesting are
+by-products.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -31,6 +33,11 @@ RULE_BUDGET = "budget"
 
 # Signed squares per list yielded by the emitter.
 CHUNK = 8192
+# In one play, subgames of at most MEMO_SQUARES squares are copied from a memo that
+# holds at most MEMO_CAP signed squares.  Boards of at most LINE_SQUARES squares are
+# written and read through a table of lines, and of at most INDEX_SQUARES replayed on a list.
+MEMO_SQUARES, MEMO_CAP = 128, 1 << 18
+LINE_SQUARES, INDEX_SQUARES = 1 << 16, 1 << 20
 # A block of moves the parser may read by int() alone: each line a sign and a square of
 # 1 to 640 ASCII digits (int() reads 640 under any limit), no leading zero, "\n" ended.
 _PLAIN = re.compile(r"(?:[+-][1-9][0-9]{0,639}\n)*")
@@ -63,9 +70,20 @@ def _moves_of(values: Iterable[int]) -> Iterator[Move]:
     return (Move(value > 0, abs(value)) for value in values)
 
 
-def _format_signed(values: list) -> str:
-    """Signed squares as wire text: per square, the same bytes as ``f"{move}\\n"``."""
-    return "%+d\n" * len(values) % tuple(values)
+def _format_signed(values: list, lines: list | None = None) -> str:
+    """Signed squares as wire text: per square, the same bytes as ``f"{move}\\n"``,
+    looked up in ``lines`` (``_lines``) when given."""
+    if lines is None:
+        return "%+d\n" * len(values) % tuple(values)
+    return "".join(map(lines.__getitem__, values))
+
+
+def _lines(n: int) -> list | None:
+    """The line of each signed square v of an n-square board at index v (a remove's
+    counted from the end), or None where n > LINE_SQUARES."""
+    if n > LINE_SQUARES:
+        return None
+    return _format_signed([*range(n + 1), *range(-n, 0)]).splitlines(keepends=True)
 
 
 def format_moves(moves: Iterable[Move]) -> str:
@@ -82,27 +100,41 @@ def parse_moves(text: str) -> tuple:
     return tuple(_parse_lines(text.splitlines()))
 
 
-def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
+def _iter_chunks(stream, size: int = 1 << 16, n: int | None = None) -> Iterator:
     """Parse moves from a text stream, calling only ``read(size)``, in memory
     O(size + the longest line): a line is held whole until its end is read.
 
     Lines are those of ``str.splitlines``, as in ``parse_moves``.  When the text
     up to the last ``\\n`` read is plain (``_PLAIN``), it is yielded as one list
-    of signed squares.  Other text goes through ``parse_move`` line by line and
-    is yielded one ``Move`` at a time, so a consumer that applies each item
-    before asking for the next sees errors in input order.  What follows the
-    cut is held for the next read, to join a line or ``\\r\\n`` cut in two; a read
-    with no line break is only held, so a long line is scanned and joined once.
+    of signed squares, read by int() or, once more lines than n <= LINE_SQUARES
+    are read, looked up in the table of ``_lines(n)``.  Other text goes through
+    ``parse_move`` line by line and is yielded one ``Move`` at a time, so a
+    consumer that applies each item before asking for the next sees errors in
+    input order.  What follows the cut is held for the next read, to join a line
+    or ``\\r\\n`` cut in two; a read with no line break is only held, so a long
+    line is scanned and joined once.
     """
     held: list = []
+    table: dict = {}
+    seen = 0  # lines
     while chunk := stream.read(size):
         held.append(chunk)
         if "\n" not in chunk and chunk.splitlines() == [chunk]:
             continue
         text = "".join(held)
         cut = text.rfind("\n") + 1
-        if cut and _PLAIN.fullmatch(text, 0, cut):
-            yield list(map(int, text[:cut].split()))
+        values = None
+        if cut and n is not None and n <= LINE_SQUARES:
+            lines = text[:cut].splitlines(keepends=True)
+            seen += len(lines)
+            if not table and n < seen:
+                table = dict(zip(_lines(n)[1:], [*range(1, n + 1), *range(-n, 0)]))
+            with contextlib.suppress(KeyError):
+                values = list(map(table.__getitem__, lines))
+        if values is None and cut and _PLAIN.fullmatch(text, 0, cut):
+            values = list(map(int, text[:cut].split()))
+        if values is not None:
+            yield values
             held = [text[cut:]]
         else:
             *lines, carry = text.splitlines(keepends=True)
@@ -111,8 +143,11 @@ def _iter_chunks(stream, size: int = 1 << 16) -> Iterator:
     yield from _parse_lines("".join(held).splitlines())
 
 
-def _off_board(move, n: int) -> ValueError:
-    text = str(move)
+def _off_board(place: bool, square: int, n: int) -> ValueError:
+    """The error of a move off the board, quoting at most the square's leading digits."""
+    sign = ("+" if place else "-") + ("-" if square < 0 else "")
+    hidden = max(0, int(abs(square).bit_length() * 0.30103) - 60)  # trailing digits, never shown
+    text = f"{sign}{abs(square) // 10**hidden}"
     shown = text if len(text) <= 40 else f"{text[:40]}..."
     return ValueError(f"move {shown} references a square outside the {n}-square board")
 
@@ -139,7 +174,7 @@ class Strategy(_StrategyFields):
         moves = tuple(moves)
         for move in moves:
             if not 1 <= move.square <= n:
-                raise _off_board(move, n)
+                raise _off_board(*move, n)
         return super().__new__(cls, n, moves)
 
     @property
@@ -174,9 +209,10 @@ class ReplayChecker:
     budget overshoot is recorded but the replay continues, so the true peak
     is still reported.  Nested residence intervals are detected online: when
     an interval of square i closes while square i+1 has been held at least
-    as long, that interval contributed nothing.  The board is a dict of the
-    occupied squares, each mapped to the step it was pebbled at, so memory is
-    O(pebbles) whatever the board size.
+    as long, that interval contributed nothing.  The board maps each occupied
+    square, and square 0, to the step it was pebbled at (0 for square 0, so that
+    square 1 is enabled): up to INDEX_SQUARES squares a list of n + 2 slots, None
+    where empty, and above, a dict, so memory is O(pebbles) whatever the size.
     """
 
     def __init__(self, n: int, budget: int | None = None, initial: Iterable[int] = ()):
@@ -184,10 +220,15 @@ class ReplayChecker:
             raise ValueError(f"board size must be >= 1, got {n}")
         self.n = n
         self.budget = budget
-        self._open_start = dict.fromkeys(initial, 0)
-        if any(not 1 <= i <= n for i in self._open_start):
+        initial = dict.fromkeys(initial, 0)
+        if any(not 1 <= i <= n for i in initial):
             raise ValueError("initial pebbles outside the board")
-        self.peak = len(self._open_start)
+        self._indexed = isinstance(n, int) and n <= INDEX_SQUARES
+        self._starts = [None] * (n + 2) if self._indexed else {}
+        self._starts[0] = 0
+        for i in initial:
+            self._starts[i] = 0
+        self._pebbles = self.peak = len(initial)
         self.steps = 0
         self.first_violation: Optional[tuple] = None
         self.halt: Optional[tuple] = None  # (step, rule) of the structural violation
@@ -196,7 +237,12 @@ class ReplayChecker:
     @property
     def board(self):
         """The occupied squares, as a set-like view."""
-        return self._open_start.keys()
+        return self._occupied().keys()
+
+    def _occupied(self) -> dict:
+        """Each occupied square, mapped to the step it was pebbled at."""
+        pairs = enumerate(self._starts) if self._indexed else self._starts.items()
+        return {i: start for i, start in pairs if i and start is not None}
 
     def feed(self, move: Move) -> Optional[tuple]:
         """Apply one move; return the closed interval (start, end) of a remove, else None.
@@ -205,7 +251,7 @@ class ReplayChecker:
         """
         i = move.square
         if not 1 <= i <= self.n:
-            raise _off_board(move, self.n)
+            raise _off_board(*move, self.n)
         closed: list = []
         self.feed_signed((i if move.place else -i,), closed)
         return closed[0][1] if closed else None
@@ -216,27 +262,28 @@ class ReplayChecker:
         Each remove appends ``(square, (start, end))`` to ``closed``, when given.
         A square outside the board raises ValueError, even after a halt; the
         moves before it stay applied.  This is the package's one replay loop:
-        its state lives in locals, written back when the loop ends or raises.
+        its state lives in locals, written back when the loop ends or raises.  A
+        list board and a dict board differ only in how a square is read and cleared.
         """
         n = self.n
-        board = self._open_start
+        board, indexed = self._starts, self._indexed
+        get = board.get if not indexed else None
         nesting = self.nesting
-        step, peak, size = self.steps, self.peak, len(board)
+        step, peak, size = self.steps, self.peak, self._pebbles
         violation, rule = self.first_violation, None
         # No square beyond n exists, so n pebbles are never over the limit.
         limit = n if self.budget is None or violation is not None else self.budget
         values = iter(values)
         try:
             if self.halt is None:
-                for value in values:
+                for step, value in enumerate(values, step + 1):
                     if value > 0:
                         if value > n:
                             break
-                        step += 1
-                        if value in board:
+                        if board[value] is not None if indexed else value in board:
                             rule = RULE_OCCUPANCY
                             break
-                        if value - 1 not in board and value != 1:
+                        if board[value - 1] is None if indexed else value - 1 not in board:
                             rule = RULE_ADD
                             break
                         board[value] = step
@@ -249,39 +296,44 @@ class ReplayChecker:
                         i = -value
                         if not 0 < i <= n:
                             break
-                        step += 1
-                        start = board.get(i)
+                        start = board[i] if indexed else get(i)
                         if start is None:
                             rule = RULE_OCCUPANCY
                             break
-                        if i - 1 not in board and i != 1:
+                        if board[i - 1] is None if indexed else i - 1 not in board:
                             rule = RULE_REMOVE
                             break
-                        del board[i]
+                        if indexed:
+                            board[i] = None
+                        else:
+                            del board[i]
                         size -= 1
-                        if board.get(i + 1, step) <= start:
+                        after = board[i + 1] if indexed else get(i + 1)
+                        if after is not None and after <= start:
                             nesting.append((i, (start, step - 1)))
                         if closed is not None:
                             closed.append((i, (start, step - 1)))
                 else:
                     return
                 if rule is None:
-                    raise _off_board(f"{value:+d}", n)
+                    step -= 1  # a move off the board is not a step
+                    raise _off_board(value >= 0, abs(value), n)
                 self.halt = (step, rule)
                 if violation is None:
                     violation = self.halt
-            for value in values:  # after a halt, only the bounds are checked
+            for step, value in enumerate(values, step + 1):  # after a halt, only the bounds
                 if not 0 < abs(value) <= n:
-                    raise _off_board(f"{value:+d}", n)
-                step += 1
+                    step -= 1
+                    raise _off_board(value >= 0, abs(value), n)
         finally:
-            self.steps, self.peak, self.first_violation = step, peak, violation
+            self.steps, self.peak, self._pebbles = step, peak, size
+            self.first_violation = violation
 
     def finish(self, expected: frozenset) -> VerificationReport:
         """Check the final board against ``expected`` and open-interval nesting,
         and return the report of the whole replay."""
         if self.halt is None:
-            board = self._open_start
+            board = self._occupied()
             for i in sorted(board):
                 if i + 1 in board and board[i + 1] <= board[i]:
                     self.nesting.append((i, (board[i], None)))
@@ -339,37 +391,73 @@ def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
 
 def _emit(n: int, s: int, split: Callable[[int, int], int] | None) -> Iterator[list]:
     """The play as lists of ``CHUNK`` signed squares (the last may be shorter), from a
-    stack of (n, S, offset, backwards) subgames.  One with S >= n is the ladder, two
-    ranges cut only where they overfill a chunk.  Any other has its three parts pushed,
-    reversed for a forward play (first part on top) as for a backwards one; the checked
-    1 <= m < n makes every part smaller, so the loop ends.  ``split(n, S)`` is asked
-    once per (n, S) of the play with S < n."""
+    stack of (n, S, offset, backwards) subgames.  One of at most MEMO_SQUARES squares is
+    copied from the memo, shifted by its offset (+o on a place, -o on a remove), and
+    reversed with the signs swapped when backwards.  Any other, or one the memo has no
+    room for, is a ladder if S >= n, two ranges cut only where they overfill a chunk, or
+    has its three parts pushed, reversed for a forward play (first part on top) as for a
+    backwards one; the checked 1 <= m < n makes every part smaller, so the loop ends.
+    ``split(n, S)`` is asked once per (n, S) of the play with S < n."""
     stack = [(n, s, 0, False)]
     chunk: list = []
     splits: dict = {}
-    while stack:
-        n, s, o, backwards = stack.pop()
-        if s >= n:  # place 1..n, lift n-1..1; backwards, place 1..n-1, lift n..1 (all + o)
-            forward = not backwards
-            for part in (range(o + 1, o + n + forward), range(forward - o - n, -o)):
-                while len(chunk) + len(part) >= CHUNK:
-                    cut = CHUNK - len(chunk)
-                    yield [*chunk, *part[:cut]]
-                    chunk, part = [], part[cut:]
-                chunk += part
-            continue
+    memo: dict = {}  # (n, S) -> the forward subgame's signed squares at offset 0, or None
+    room = MEMO_CAP
+
+    def split_of(n, s):
         try:
-            m = splits[n, s]
+            return splits[n, s]
         except KeyError:
             m = splits[n, s] = split(n, s)
             if not 1 <= m < n:
                 raise UnsolvableError(f"no split for n={n}, S={s}") from None
-        parts = (
-            (m, s, o, backwards),
-            (n - m, s - 1, o + m, backwards),
-            (m, s - 1, o, not backwards),
-        )
-        stack.extend(parts if backwards else reversed(parts))
+            return m
+
+    def shifted(moves, o, backwards):
+        if backwards:
+            return [o - v if v < 0 else -o - v for v in reversed(moves)]
+        return [v + o if v > 0 else v - o for v in moves] if o else moves
+
+    def played(n, s):  # by the same three-part rule, each part from the memo
+        nonlocal room
+        s = min(s, n)  # every S >= n plays the same ladder
+        if (n, s) not in memo:
+            if s >= n:
+                moves = [*range(1, n + 1), *range(1 - n, 0)]
+            else:
+                m = split_of(n, s)
+                first, middle, last = played(m, s), played(n - m, s - 1), played(m, s - 1)
+                moves = None if None in (first, middle, last) else [
+                    *first, *shifted(middle, m, False), *shifted(last, 0, True)
+                ]
+            fits = moves is not None and len(moves) <= room
+            memo[n, s] = moves if fits else None
+            room -= len(moves) if fits else 0
+        return memo[n, s]
+
+    while stack:
+        n, s, o, backwards = stack.pop()
+        moves = played(n, s) if n <= MEMO_SQUARES else None
+        if moves is not None:
+            parts = (shifted(moves, o, backwards),)
+        elif s >= n:  # place 1..n, lift n-1..1; backwards, place 1..n-1, lift n..1 (all + o)
+            forward = not backwards
+            parts = (range(o + 1, o + n + forward), range(forward - o - n, -o))
+        else:
+            m = split_of(n, s)
+            parts = (
+                (m, s, o, backwards),
+                (n - m, s - 1, o + m, backwards),
+                (m, s - 1, o, not backwards),
+            )
+            stack.extend(parts if backwards else reversed(parts))
+            continue
+        for part in parts:
+            while len(chunk) + len(part) >= CHUNK:
+                cut = CHUNK - len(chunk)
+                yield [*chunk, *part[:cut]]
+                chunk, part = [], part[cut:]
+            chunk += part
     if chunk:
         yield chunk
 
@@ -441,6 +529,6 @@ def _replay_intervals(checker: ReplayChecker, chunks: Iterable[list]) -> Interva
         for i, interval in closed:
             rows[i - 1].append(interval)
         closed.clear()
-    for i, start in checker._open_start.items():
+    for i, start in checker._occupied().items():
         rows[i - 1].append((start, None))
     return IntervalView(checker.n, tuple(tuple(row) for row in rows))

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output bytes, exit codes, and config handling."""
 
+import gc
 import hashlib
 import io
 import os
@@ -22,7 +23,7 @@ from pebblegame import (
     to_intervals,
     verify,
 )
-from pebblegame import dp
+from pebblegame import dp, strategy
 from pebblegame.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
@@ -994,8 +995,15 @@ os._exit(0)
     [
         (("table", "100000", "24", "--format", "csv"), None),
         (("strategy", "1048576", "21"), 1_000_000),
+        (("strategy", "16384", "15", "--verify"), None),
+        (("strategy", "1048576", "21", "--verify"), 1_000_000),
     ],
-    ids=["table 100000 24 --format csv", "strategy 1048576 21 | head -1000000"],
+    ids=[
+        "table 100000 24 --format csv",
+        "strategy 1048576 21 | head -1000000",
+        "strategy 16384 15 --verify",
+        "strategy 1048576 21 --verify | head -1000000",
+    ],
 )
 def test_peak_memory_of_large_runs(argv, cut_lines):
     # VmHWM is the child's own peak; ru_maxrss of a child started by
@@ -1019,6 +1027,41 @@ def test_peak_memory_of_large_runs(argv, cut_lines):
     code, hwm_kb = (int(field.split("=")[1]) for field in summary.split())
     assert code == 0, err
     assert hwm_kb < 40 * 1024, summary
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
+def test_plays_at_the_line_table_bound(capsys, monkeypatch, past):
+    # Written through the table at the bound and with "%" past it, read back by the
+    # table or by int(): the same bytes, reports and errors.
+    n = strategy.LINE_SQUARES + past
+    code, out, err = run(capsys, "strategy", str(n), str(n), "--verify")
+    text = strategy._format_signed([*range(1, n + 1), *range(1 - n, 0)])
+    assert (code, out, err) == (0, text + f"T={2 * n - 1} peak={n} valid=true\n", "")
+    lines = text.splitlines(keepends=True)
+    # Line n + 9 lifts square n - 10; lifting it twice halts at step n + 11, mid-chunk.
+    for inserted, expected in [
+        ([], (0, f"T={2 * n - 1} peak={n} valid=true\n", "")),
+        ([lines[n + 9]], (2, f"T={2 * n} peak={n} valid=false\n",
+                          f"first violation: step {n + 11} (occupancy)\n")),
+        ([f"+{n + 1}\n"], (64, "", f"error: move +{n + 1} references a square outside "
+                                  f"the {n}-square board\n")),
+    ]:
+        given = "".join(lines[:n + 10] + inserted + lines[n + 10:])
+        monkeypatch.setattr("sys.stdin", io.StringIO(given))
+        assert run(capsys, "verify", str(n), str(n)) == expected
+
+
+def test_main_in_process_freezes_no_objects(capsys, monkeypatch):
+    # Only the program (argv None) freezes its start-up heap out of the collector.
+    before = gc.get_freeze_count()
+    assert run(capsys, "cost", "51", "7")[0] == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr("sys.argv", ["pebblegame", "cost", "51", "7"])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
 
 
 def readme_examples():

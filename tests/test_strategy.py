@@ -6,6 +6,7 @@ import itertools
 import re
 import time
 import tracemalloc
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +25,13 @@ from pebblegame import (
     to_intervals,
     verify,
 )
+from pebblegame import strategy
 from pebblegame.strategy import (
     CHUNK,
     Move,
     _emit,
     _iter_chunks,
+    _lines,
     _moves_of,
     _play_splits,
     ReplayChecker,
@@ -124,8 +127,6 @@ def test_synthesize_materialization_cap():
 def test_synthesize_refuses_before_emitting(monkeypatch):
     """The cap is read against F from the play's splits, so no move is emitted for a
     play over it; an unsolvable play is refused before the cap."""
-    from pebblegame import strategy
-
     def no_emit(*args):
         raise AssertionError("a refused play emits no move")
 
@@ -205,6 +206,44 @@ def square_by_square_emit(n, s, split):
         yield chunk
 
 
+def reference_emit(n, s, split):
+    """The emitter before subgames were copied from a memo, kept as it was: the play
+    as lists of ``CHUNK`` signed squares (the last may be shorter), from a
+    stack of (n, S, offset, backwards) subgames.  One with S >= n is the ladder, two
+    ranges cut only where they overfill a chunk.  Any other has its three parts pushed,
+    reversed for a forward play (first part on top) as for a backwards one; the checked
+    1 <= m < n makes every part smaller, so the loop ends.  ``split(n, S)`` is asked
+    once per (n, S) of the play with S < n."""
+    stack = [(n, s, 0, False)]
+    chunk: list = []
+    splits: dict = {}
+    while stack:
+        n, s, o, backwards = stack.pop()
+        if s >= n:  # place 1..n, lift n-1..1; backwards, place 1..n-1, lift n..1 (all + o)
+            forward = not backwards
+            for part in (range(o + 1, o + n + forward), range(forward - o - n, -o)):
+                while len(chunk) + len(part) >= CHUNK:
+                    cut = CHUNK - len(chunk)
+                    yield [*chunk, *part[:cut]]
+                    chunk, part = [], part[cut:]
+                chunk += part
+            continue
+        try:
+            m = splits[n, s]
+        except KeyError:
+            m = splits[n, s] = split(n, s)
+            if not 1 <= m < n:
+                raise UnsolvableError(f"no split for n={n}, S={s}") from None
+        parts = (
+            (m, s, o, backwards),
+            (n - m, s - 1, o + m, backwards),
+            (m, s - 1, o, not backwards),
+        )
+        stack.extend(parts if backwards else reversed(parts))
+    if chunk:
+        yield chunk
+
+
 def square_by_square_play(n, s):
     """The signed squares of the (n, s) play by ``square_by_square_emit``, with the
     split 1 of every ladder that it asked for."""
@@ -222,6 +261,43 @@ def test_ladder_leaves_match_the_square_by_square_emitter():
     cases.append((16384, 20))
     for n, s in cases:
         assert emitted_play(n, s) == square_by_square_play(n, s), (n, s)
+
+
+def test_emitter_matches_the_reference_chunk_for_chunk():
+    cases = [(n, s) for n in range(1, 151) for s in range(1, 13) if is_solvable(n, s)]
+    for n, s in cases:
+        split = _play_splits(n, s, None)[0]
+        assert list(_emit(n, s, split)) == list(reference_emit(n, s, split)), (n, s)
+
+
+def _stored(chunks):
+    """Signed squares in the memo of a suspended ``_emit`` generator."""
+    return sum(len(moves) for moves in chunks.gi_frame.f_locals["memo"].values() if moves)
+
+
+@pytest.mark.parametrize(
+    "memo_squares, memo_cap",
+    [(128, 0), (128, 700), (128, 5000), (1, 1 << 18), (16, 300), (127, 1 << 18), (129, 1 << 18),
+     (5000, 1 << 18)],
+)
+def test_emitter_matches_the_reference_across_the_memo_bound_and_cap(
+    monkeypatch, memo_squares, memo_cap
+):
+    # Subgames of 127 to 129 squares straddle the bound; a small cap leaves some
+    # subgames of the bound to the stack, and caps of 700 and 5000 fill up mid-play.
+    monkeypatch.setattr(strategy, "MEMO_SQUARES", memo_squares)
+    monkeypatch.setattr(strategy, "MEMO_CAP", memo_cap)
+    refused = False  # a subgame of the bound that the memo had no room for
+    for n, s in [(127, 8), (128, 8), (129, 9), (130, 9), (256, 9), (1000, 20), (4096, 13)]:
+        split = _play_splits(n, s, None)[0]
+        chunks = _emit(n, s, split)
+        expected = reference_emit(n, s, split)
+        for chunk in chunks:
+            assert chunk == next(expected), (n, s)
+            assert _stored(chunks) <= memo_cap
+            refused = refused or None in chunks.gi_frame.f_locals["memo"].values()
+        assert next(expected, None) is None
+    assert refused or memo_cap == 1 << 18
 
 
 def test_splits_are_asked_only_below_the_ladder():
@@ -528,14 +604,25 @@ def _replay_state(checker, closed):
         checker.halt is not None,
         checker.nesting,
         closed,
-        dict(checker._open_start),
+        checker._occupied(),
     )
 
 
 @settings(max_examples=400, derandomize=True)
 @given(signed_plays())
 def test_replay_core_matches_reference(reference_replay, case):
-    n, budget, initial, values, cuts = case
+    _check_replay_core(reference_replay, *case)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(signed_plays())
+def test_replay_core_matches_reference_on_a_dict_board(reference_replay, case):
+    # Every board of the cases is past an index bound of 0, so it is a dict.
+    with unittest.mock.patch.object(strategy, "INDEX_SQUARES", 0):
+        _check_replay_core(reference_replay, *case)
+
+
+def _check_replay_core(reference_replay, n, budget, initial, values, cuts):
     reference = reference_replay(n, budget, initial)
 
     def feed_reference():
@@ -581,6 +668,56 @@ def test_replay_core_matches_reference(reference_replay, case):
         assert whole.finish(frozenset({n})) == chunked.finish(frozenset({n}))
 
 
+def _replay_at_the_top(n):
+    """Outcomes of replays on the top squares of an n-square board: a legal play from
+    pebbles on n - 3 and n - 2, its report and intervals, then a halt in mid-chunk,
+    the report after it, and a square off the board after the halt."""
+    initial = {n - 3, n - 2}
+    legal = [n - 1, n, -(n - 1), n - 1, -n, -(n - 1), -(n - 2), n - 2]
+    checker = ReplayChecker(n, budget=3, initial=initial)
+    intervals = strategy._replay_intervals(checker, [legal[:3], legal[3:]])
+    outcomes = [checker._indexed, intervals, checker.finish(frozenset(initial))]
+    checker, closed = ReplayChecker(n, initial=initial), []
+    checker.feed_signed(legal + [n - 1, n - 1, -n, 5], closed)
+    outcomes += [_replay_state(checker, closed), checker.finish(frozenset({n}))]
+    outcomes.append(_outcome(lambda: checker.feed_signed([n - 1, n + 1])))
+    outcomes.append(_outcome(lambda: ReplayChecker(n).feed(Move(False, n + 1))))
+    return outcomes
+
+
+def test_a_board_size_that_is_no_int_replays_on_a_dict():
+    # Strategy takes any n >= 1, and only an int sizes a list of slots.
+    moves = synthesize(4, 3).moves
+    assert verify(Strategy(4.0, moves), 3) == verify(Strategy(4, moves), 3)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
+def test_list_and_dict_boards_replay_alike_at_the_index_bound(monkeypatch, past):
+    n = strategy.INDEX_SQUARES + past
+    default = _replay_at_the_top(n)
+    assert default[0] == (not past)  # a list up to the bound, a dict past it
+    monkeypatch.setattr(strategy, "INDEX_SQUARES", n - 1 if not past else n)
+    other = _replay_at_the_top(n)
+    assert other[0] == bool(past)
+    assert other[1:] == default[1:]
+    intervals, report, state, halted = default[1:5]
+    assert intervals.squares[n - 4:] == (
+        ((0, None),), ((0, 6), (8, None)), ((1, 2), (4, 5)), ((2, 4),)
+    )
+    assert report == (False, 8, 4, (2, "budget"), ())
+    assert state[:4] == (12, 4, (10, "occupancy"), True)
+    assert state[6] == {n - 3: 0, n - 2: 8, n - 1: 9}
+    assert halted == (False, 12, 4, (10, "occupancy"), ())
+    assert default[5] == (
+        ValueError,
+        f"move +{n + 1} references a square outside the {n}-square board",
+    )
+    assert default[6] == (
+        ValueError,
+        f"move -{n + 1} references a square outside the {n}-square board",
+    )
+
+
 def test_feed_keeps_the_sign_of_square_zero():
     checker = ReplayChecker(3)
     with pytest.raises(ValueError, match=r"^move -0 references a square outside the 3-square board$"):
@@ -600,6 +737,21 @@ def test_feed_cuts_the_quote_of_a_long_square():
     assert checker.steps == 0
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_off_board_quote_of_a_square_past_the_int_digit_limit(sign):
+    # 5,001 digits: more than str() formats under the default limit of 4,300.
+    square = 10**5000
+    message = f"^move \\{sign}1{'0' * 38}\\.\\.\\. references a square outside the 3-square board$"
+    checker = ReplayChecker(3)
+    with pytest.raises(ValueError, match=message):
+        checker.feed(Move(sign == "+", square))
+    with pytest.raises(ValueError, match=message):
+        checker.feed_signed([square if sign == "+" else -square])
+    with pytest.raises(ValueError, match=message):
+        Strategy(3, [Move(sign == "+", square)])
+    assert checker.steps == 0
+
+
 # -- the chunked parser against parse_moves ------------------------------------
 
 text_pieces = st.sampled_from(
@@ -608,9 +760,9 @@ text_pieces = st.sampled_from(
 )
 
 
-def _iter_moves(stream, size: int = 1 << 16):
+def _iter_moves(stream, size: int = 1 << 16, n=None):
     """The moves of ``_iter_chunks``, one at a time."""
-    for chunk in _iter_chunks(stream, size):
+    for chunk in _iter_chunks(stream, size, n):
         if isinstance(chunk, list):
             yield from _moves_of(chunk)
         else:
@@ -648,11 +800,22 @@ def test_chunked_parser_matches_parse_moves(case):
     assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text), size))) == expected
 
 
-def _chunk_kinds(text: str) -> list:
+# Boards of n squares, whose line table is built once more than n lines are read;
+# squares past n are read by int().
+@pytest.mark.parametrize("n", [1, 7, 500])
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(mixed_texts, plain_texts))
+def test_chunked_parser_with_a_line_table_matches_parse_moves(n, case):
+    text, size = case
+    expected = _outcome(lambda: parse_moves(text))
+    assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text), size, n))) == expected
+
+
+def _chunk_kinds(text: str, n=None) -> list:
     """Per item the parser yields before any error: "list" (fast route) or "move"."""
     kinds = []
     try:
-        for item in _iter_chunks(io.StringIO(text)):
+        for item in _iter_chunks(io.StringIO(text), n=n):
             kinds.append("list" if isinstance(item, list) else "move")
     except ValueError:
         pass
@@ -719,8 +882,29 @@ def test_malformed_move_quotes_a_long_line_cut(line, shown):
 )
 def test_parser_falls_back_on_any_other_line(piece):
     # "+\u0663" is an Arabic-Indic digit three, which parse_move reads as square 3.
+    # On a board of 2 squares, the four lines are looked up in its line table.
     text = "+1\n-1\n" + piece + "+2\n"
-    assert "list" not in _chunk_kinds(text)
-    assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text)))) == _outcome(
-        lambda: parse_moves(text)
-    )
+    for n in (None, 2):
+        assert "list" not in _chunk_kinds(text, n)
+        assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text), n=n))) == _outcome(
+            lambda: parse_moves(text)
+        )
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
+def test_line_table_writes_and_reads_as_int_and_percent_do(past):
+    n = strategy.LINE_SQUARES + past
+    lines = _lines(n)
+    assert (lines is None) == bool(past)
+    ladder = [*range(1, n + 1), *range(1 - n, 0)]
+    text = strategy._format_signed(ladder)
+    if lines is not None:
+        assert len(lines) == 2 * n + 1
+        assert strategy._format_signed(ladder, lines) == text
+        assert strategy._format_signed([-n, -1, n, 1], lines) == f"-{n}\n-1\n+{n}\n+1\n"
+    # The last lines are off the board, or not plain, after the table is built.
+    half = text.index("\n", len(text) // 2) + 1
+    for tail in ["", f"+{n + 1}\n", f"-{n + 1}\n+1\n", "+0\n", f"+{n:07d}\n", "+1 \n-1\n"]:
+        for case in [text + tail, text[:half] + tail + text[half:]]:
+            by_int = list(_iter_chunks(io.StringIO(case)))
+            assert list(_iter_chunks(io.StringIO(case), n=n)) == by_int, tail
