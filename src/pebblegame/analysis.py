@@ -3,7 +3,8 @@ normalized log-cost on a gamma grid (``f_gamma_report``) and the exact minimum
 time-space product.  A DpTables or a dp.Layer is read through ``layer(s)``.
 
 All logarithms are base 2.  Binomial work uses exact integer arithmetic
-(math.comb), and each result passes the cost type's 64-bit cap check.
+(math.comb), and each result passes the cost type's 64-bit cap check.  The handlers
+of the ``bounds``, ``tsmin`` and ``fgamma`` commands are the last functions here.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 from typing import NamedTuple
 
 from . import config, dp
-from .cost import INFINITE, MAX_FINITE_COST, _checked
-from .errors import ResourceLimitError, TableRangeError
+from .cost import INFINITE, MAX_FINITE_COST, _checked, format_cost
+from .errors import EXIT_OK, ResourceLimitError, TableRangeError, _check_int
 
 
 class BeyondTable:
@@ -36,8 +37,8 @@ BEYOND_TABLE = object.__new__(BeyondTable)
 
 
 def _validate_ks(k: int, s: int, min_s: int = 2) -> None:
-    dp._check_int("k", k, 0)
-    dp._check_int("S", s, min_s)
+    _check_int("k", k, 0)
+    _check_int("S", s, min_s)
 
 
 class ThresholdRecord(NamedTuple):
@@ -163,7 +164,7 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     ResourceLimitError comes before any layer is filled when the budget cannot reach
     the least solvable S, else when it runs out.
     """
-    dp._check_int("n", n, 1)
+    _check_int("n", n, 1)
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     s_start = (n - 1).bit_length() + 1
     smax = min(n, budget // n)
@@ -183,3 +184,86 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
         f"tsmin({n}) needs at least {n * (s + 1)} cells to certify "
         f"its minimum; the cell budget is {budget}"
     )
+
+
+def cmd_bounds(args, limits) -> int:
+    s = args.s
+    if s < 2:
+        raise ValueError("bound evaluation needs S >= 2")
+    kmax = s - 1 if args.kmax is None else args.kmax
+    if not 1 <= kmax <= s - 1:
+        raise ValueError(f"kmax must be in [1, S-1]; got {kmax} for S={s}")
+    nmax = x_upper(kmax, s) + 1
+    # Each sum is O(S) integer work, checked against the 64-bit cap before any layer.
+    sums = [
+        (f_bound_lower_sum(k, s), f_bound_upper_sum(k, s))
+        for k in range(1, kmax + 1)
+    ]
+    layer = dp._last_layer(nmax, s, limits.cell_budget)
+    header = [
+        "k", "x_lower", "x", "x_upper",
+        "lower_sum", "F_lower", "le_ok",
+        "upper_sum", "F_upper", "ge_ok",
+    ]
+    rows = [header]
+    for k, (lower_sum, upper_sum) in enumerate(sums, 1):
+        record = threshold_record(k, s, layer)
+        f_lower = layer.cost(record.x_lower)
+        f_upper = layer.cost(record.x_upper)
+        rows.append(
+            [
+                str(k),
+                str(record.x_lower),
+                "beyond" if record.x is BEYOND_TABLE else str(record.x),
+                str(record.x_upper),
+                str(lower_sum),
+                format_cost(f_lower),
+                "ok" if f_lower <= lower_sum else "FAIL",
+                str(upper_sum),
+                format_cost(f_upper),
+                "ok" if f_upper >= upper_sum else "FAIL",
+            ]
+        )
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    print("\n".join(" ".join(map(str.rjust, row, widths)) for row in rows))
+    return EXIT_OK
+
+
+def cmd_tsmin(args, limits) -> int:
+    record = min_ts_auto(args.n, cell_budget=limits.cell_budget)
+    ratio = "" if math.isnan(record.ratio) else f" ratio={record.ratio:.4f}"
+    print(f"S={record.best_s} F={record.best_f} TS={record.product}{ratio}")
+    return EXIT_OK
+
+
+def cmd_fgamma(args, limits) -> int:
+    s = args.s
+    if s < 1:
+        raise ValueError("fgamma needs S >= 1")
+    points = args.points
+    if points < 1:
+        raise ValueError("--points must be >= 1")
+    if points > limits.materialization_cap:
+        raise ResourceLimitError(
+            f"gamma grid needs {points} points materialized; cap is {limits.materialization_cap}"
+        )
+    step = 2 * points  # the grid is i / step for i = 1..points, never stored
+
+    def sizes(order):  # the board sizes at grid points, which rise with gamma
+        return (_board_size(entropy(i / step), s) for i in order)
+    try:  # so nmax is the first solvable one from the top
+        nmax = next((n for n in sizes(range(points, 0, -1)) if dp.is_solvable(n, s)), 1)
+    except TableRangeError:  # past float range: a scan up names the least such gamma
+        for _ in sizes(range(1, points + 1)):
+            pass
+        raise
+    layer = dp._last_layer(nmax, s, limits.cell_budget)
+    print("gamma H n f gap")
+    for row in f_gamma_report(s, layer, (i / step for i in range(1, points + 1))):
+        if row.f_value is None:
+            if dp.is_solvable(row.n, s):
+                raise ArithmeticError(f"board {row.n} is solvable past nmax={nmax}: sizes fall")
+            print(f"{row.gamma:.4f} {row.h:.6f} {row.n} - -")
+        else:
+            print(f"{row.gamma:.4f} {row.h:.6f} {row.n} {row.f_value:.6f} {row.gap:+.6f}")
+    return EXIT_OK

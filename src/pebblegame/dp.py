@@ -33,6 +33,7 @@ the finite part, n <= top, and ``build_table`` pads them with INFINITE and 0
 into tables.  A split of 0 means none is defined; only ``split_point`` says
 None.  ``f_cost``, ``split_point`` and ``delta`` each run one pass of S layers
 cut at the queried board.  The tests check the layers against a plain recursion.
+The handlers of the ``cost`` and ``table`` commands are the last functions here.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from . import config
-from .cost import INFINITE, MAX_FINITE_COST, Cost, _checked
+from .cost import INFINITE, MAX_FINITE_COST, Cost, _checked, format_cost
+from .errors import EXIT_OK, EXIT_UNSOLVABLE, _check_int, _validate
 from .errors import CostOverflowError, ResourceLimitError, TableRangeError
 
 
@@ -134,19 +136,6 @@ def _marginal(cost, n: int) -> Cost:
         return 0
     after = cost(n + 1)
     return INFINITE if after is INFINITE else after - cost(n)
-
-
-def _check_int(name: str, value, least: int | None = None) -> None:
-    """ValueError unless ``value`` is an int, not a bool, and at least ``least`` if given."""
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if not is_int or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _validate(n: int, s: int) -> None:
-    _check_int("n", n, 1)
-    _check_int("S", s, 0)
 
 
 def _prefix_sum(runs, k: int) -> int:
@@ -319,3 +308,52 @@ def table_delta(tables: DpTables, n: int, s: int) -> Cost:
     """Marginal cost read from built tables, without a new layer pass."""
     tables._check(1, s)
     return _marginal(lambda m: tables.cost(m, s), n)
+
+
+def cmd_cost(args, limits) -> int:
+    value, split = _cell(args.n, args.s, limits.cell_budget)
+    print(f"F({args.n},{args.s}) = {format_cost(value)}")
+    if value is not INFINITE and args.n >= 2:
+        print(f"m({args.n},{args.s}) = {split}")
+    return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE
+
+
+# Rows of `table` formatted and written at a time.
+TABLE_BLOCK = 2048
+
+
+def cmd_table(args, limits) -> int:
+    """Write F for n = 1..nmax, S = 1..smax, by solvability bands.
+
+    F(n, S) is finite exactly where n <= top(S) = min(2**(S-1), nmax), so
+    in row n the "inf" columns are the prefix S = 1..k, and that prefix is
+    the same in every row of the band top(k) < n <= top(k+1).  Each band's
+    line has those cells written in; only the finite layers' costs are
+    formatted into it, TABLE_BLOCK rows per write.  The prefix holds only
+    while tops never fall with S, which is checked.
+    """
+    nmax = args.nmax
+    layers = list(_layers(nmax, args.smax, limits.cell_budget))
+    tops = [layer.top for layer in layers]
+    if any(top > after for top, after in zip(tops, tops[1:])):
+        raise ArithmeticError(f"layer tops {tops} fall with S: the infinite cells are not a prefix")
+    header = ["n"] + [f"S={layer.s}" for layer in layers]
+    sep = {"plain": " ", "csv": ",", "tsv": "\t"}[args.format]
+    # F rises in n, so a plain column is as wide as its header or its last finite cell
+    # ("inf" is no wider than "S=1", nor "n" than nmax); csv and tsv columns are 0 wide.
+    widths = [0] * len(header) if args.format != "plain" else [len(str(nmax))] + [
+        max(len(head), len(str(layer.cost(layer.top)))) for head, layer in zip(header[1:], layers)
+    ]
+    cells = [f"%{width}s" for width in widths]
+    infinite = ["inf".rjust(width) for width in widths[1:]]
+    print(sep.join(map(str.rjust, header, widths)))
+    costs = [layer.costs() for layer in layers]
+    first = 1
+    for k, last in enumerate(tops + [nmax]):  # band k: rows first..last
+        line = sep.join([cells[0], *infinite[:k], *cells[k + 1:]]) + "\n"
+        rows = zip(range(first, last + 1), *costs[k:])
+        width = len(layers) - k + 1
+        while values := tuple(itertools.chain.from_iterable(itertools.islice(rows, TABLE_BLOCK))):
+            print(line * (len(values) // width) % values, end="")
+        first = last + 1
+    return EXIT_OK

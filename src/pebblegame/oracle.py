@@ -3,20 +3,21 @@
 Board states are n-bit masks (square i at bit i-1), and only boards with at
 most S pebbles are visited.  One breadth-first search, ``_meet``, runs from both
 ends, the empty board and {n}, keeping the boards it reaches in dicts.  It gives
-the least move count and a witness play apart from the recursion in ``dp``.
+the least move count and a witness play apart from the recursion in ``dp``.  The
+handler of the ``oracle`` command, the last function here, compares the two.
 """
 
 from __future__ import annotations
 
 from . import dp
-from .cost import INFINITE, Cost
-from .errors import ResourceLimitError
+from .cost import INFINITE, Cost, format_cost
+from .errors import EXIT_DISAGREE, EXIT_OK, EXIT_UNSOLVABLE, ResourceLimitError, _validate
 
 MAX_ORACLE_SQUARES = 20
 
 
-def _validate(n: int, s: int) -> None:
-    dp._validate(n, s)
+def _check_size(n: int, s: int) -> None:
+    _validate(n, s)
     if n > MAX_ORACLE_SQUARES:
         raise ResourceLimitError(
             f"oracle search is capped at n <= {MAX_ORACLE_SQUARES} (state space 2**n); got n={n}"
@@ -74,7 +75,7 @@ def _meet(n: int, s: int):
 
 def bfs_min_time(n: int, s: int) -> Cost:
     """Length of the shortest legal play ending at exactly {square n}."""
-    _validate(n, s)
+    _check_size(n, s)
     met = _meet(n, s)
     return INFINITE if met is None else met[1][0] + 1 + met[1][1]
 
@@ -89,7 +90,7 @@ def bfs_path(n: int, s: int):
     lowest square first, that drops each board that led nowhere, meets the least
     play first; past depth f every board has a move one level down.
     """
-    _validate(n, s)
+    _check_size(n, s)
     met = _meet(n, s)
     if met is None:
         return None
@@ -111,3 +112,20 @@ def bfs_path(n: int, s: int):
     from .strategy import Move, Strategy
     steps = zip(boards, boards[1:])  # placing a pebble sets a bit: the number grows
     return Strategy(n, (Move(nxt > prev, (nxt ^ prev).bit_length()) for prev, nxt in steps))
+
+
+def cmd_oracle(args, limits) -> int:
+    _check_size(args.n, args.s)  # the size cap first, then the cell budget, then search
+    dp_value = dp.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
+    if args.path:  # one search: the distance is the witness's length
+        witness = bfs_path(args.n, args.s)
+        bfs = INFINITE if witness is None else witness.step_count
+    else:
+        witness, bfs = None, bfs_min_time(args.n, args.s)
+    agree = bfs == dp_value
+    print(f"bfs={format_cost(bfs)} dp={format_cost(dp_value)} {'agree' if agree else 'disagree'}")
+    if witness is not None:
+        print(witness.to_text(), end="")
+    if not agree:
+        return EXIT_DISAGREE
+    return EXIT_OK if bfs is not INFINITE else EXIT_UNSOLVABLE

@@ -11,7 +11,8 @@ and a subgame played backwards is its parts in reverse order, each backwards.
 One replay core, ``ReplayChecker.feed_signed``, applies moves under the game
 rule that square i may change only when i == 1 or square i-1 is occupied; the
 verification report, the peak, the residence intervals and their nesting are
-by-products.
+by-products.  The handlers of the ``strategy`` and ``verify`` commands are the last
+functions here; only a play's splits need ``dp``, which ``verify`` never loads.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import re
+import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from . import config, dp
-from .errors import ResourceLimitError, UnsolvableError
+from . import config
+from .errors import EXIT_OK, EXIT_UNSOLVABLE, ResourceLimitError, UnsolvableError, _check_int
 
 # Rule identifiers used in verification reports.
 RULE_FINAL = "final"
@@ -381,6 +383,8 @@ def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
     of (n, S), and F(n, s), the play's length; UnsolvableError if n > 2**(s-1).
     Each split is ``Layer.split`` of the run layers cut at n, under the cell budget
     of their table.  Where s >= n the play is one ladder, which asks no split."""
+    from . import dp
+
     if not dp.is_solvable(n, s):
         raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
     if s >= n:
@@ -532,3 +536,58 @@ def _replay_intervals(checker: ReplayChecker, chunks: Iterable[list]) -> Interva
     for i, start in checker._occupied().items():
         rows[i - 1].append((start, None))
     return IntervalView(checker.n, tuple(tuple(row) for row in rows))
+
+
+def _summary_line(report) -> str:
+    valid = "true" if report.valid else "false"
+    return f"T={report.step_count} peak={report.peak_pebbles} valid={valid}"
+
+
+def cmd_strategy(args, limits) -> int:
+    n, s = args.n, args.s
+    split, total = _play_splits(n, s, limits.cell_budget)
+    replays = args.verify or args.emit == "intervals"  # else no board (up to 8 MB) is made
+    checker = ReplayChecker(n, budget=s) if replays else None
+    chunks = _emit(n, s, split)
+    if args.emit == "intervals":
+        if total > limits.materialization_cap:
+            raise ResourceLimitError(
+                f"interval view needs {total} moves materialized; cap is "
+                f"{limits.materialization_cap} (the moves format streams instead)"
+            )
+        print(_replay_intervals(checker, chunks).to_text(), end="")
+    else:
+        lines = _lines(n)
+        for chunk in chunks:
+            print(_format_signed(chunk, lines), end="")
+            if args.verify:
+                checker.feed_signed(chunk)
+    if args.verify:
+        print(_summary_line(checker.finish(expected=frozenset({n}))))
+    return EXIT_OK
+
+
+def cmd_verify(args, limits) -> int:
+    on_stdin = args.file in (None, "-")
+    try:
+        if on_stdin and sys.stdin is None:  # the process started with stdin closed
+            raise OSError("it is closed")
+        source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
+        with source as stream:
+            checker = ReplayChecker(args.n, budget=args.s)
+            _check_int("S", args.s, 0)  # S after n, in the order every command checks them
+            for chunk in _iter_chunks(stream, n=args.n):
+                if isinstance(chunk, list):
+                    checker.feed_signed(chunk)
+                else:
+                    checker.feed(chunk)
+                checker.nesting.clear()  # not printed, so not held
+    except OSError as exc:
+        where = "from stdin" if on_stdin else f"file {args.file!r}"
+        raise ValueError(f"cannot read moves {where}: {exc}") from exc
+    report = checker.finish(expected=frozenset({args.n}))
+    print(_summary_line(report))
+    if report.first_violation is not None:
+        step, rule = report.first_violation
+        print(f"first violation: step {step} ({rule})", file=sys.stderr)
+    return EXIT_OK if report.valid else EXIT_UNSOLVABLE

@@ -19,6 +19,8 @@ PROBE = (
     "print('modules:', *sorted(sys.modules), file=sys.stderr); sys.exit(code)"
 )
 BARE = "import sys; print('modules:', *sorted(sys.modules), file=sys.stderr)"
+# The stdin of every run: verify replays it, the other commands leave it unread.
+PLAY = "+1\n+2\n-1\n"
 
 # Every name dir(pebblegame) listed when the package imported all its
 # submodules up front, by the submodule that defines it, less the names
@@ -44,6 +46,7 @@ def loaded_modules(code: str, *argv):
     done = subprocess.run(
         [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=path),
+        input=PLAY,
         capture_output=True,
         text=True,
         timeout=60,
@@ -53,28 +56,46 @@ def loaded_modules(code: str, *argv):
 
 # The command line is read without argparse, which would bring gettext and locale.
 PARSER = {"argparse", "gettext", "locale"}
+# The modules that hold the command handlers; main imports one of them, or none for help.
+ENGINES = {f"pebblegame.{name}" for name in ("dp", "strategy", "oracle", "analysis")}
 
 
 @pytest.mark.parametrize(
     "argv, last_line, absent",
     [
-        (
-            ("cost", "1", "1"),
-            "F(1,1) = 1",
-            {"dataclasses", "pebblegame.analysis", "pebblegame.oracle", "pebblegame.strategy"}
-            | PARSER,
-        ),
+        (("cost", "1", "1"), "F(1,1) = 1", {"dataclasses"} | ENGINES - {"pebblegame.dp"} | PARSER),
         (
             ("strategy", "8", "4", "--verify"),
             "T=25 peak=4 valid=true",
             {"dataclasses", "pebblegame.analysis"} | PARSER,
         ),
-        (("tsmin", "9"), "S=5 F=25 TS=125 ratio=1.0660", {"pebblegame.strategy"} | PARSER),
+        (
+            ("tsmin", "9"),
+            "S=5 F=25 TS=125 ratio=1.0660",
+            {"pebblegame.strategy", "pebblegame.oracle"} | PARSER,
+        ),
         (
             ("table", "10", "4", "--format", "csv"),
             "10,inf,inf,inf,inf",
-            {"pebblegame.analysis", "pebblegame.strategy"} | PARSER,
+            ENGINES - {"pebblegame.dp"} | PARSER,
         ),
+        (("verify", "2", "2"), "T=3 peak=2 valid=true", ENGINES - {"pebblegame.strategy"} | PARSER),
+        (
+            ("oracle", "8", "4"),
+            "bfs=25 dp=25 agree",
+            {"pebblegame.strategy", "pebblegame.analysis"} | PARSER,
+        ),
+        (
+            ("bounds", "5"),
+            "4      16 16      16       162      71    ok       839      71  FAIL",
+            {"pebblegame.strategy", "pebblegame.oracle"} | PARSER,
+        ),
+        (
+            ("fgamma", "8"),
+            "0.5000 1.000000 256 - -",
+            {"pebblegame.strategy", "pebblegame.oracle"} | PARSER,
+        ),
+        (("--help",), "  fgamma    normalized log-cost report on a gamma grid", ENGINES | PARSER),
     ],
 )
 def test_a_command_loads_only_what_it_runs(argv, last_line, absent):

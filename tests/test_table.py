@@ -14,8 +14,9 @@ import itertools
 import pytest
 
 from pebblegame import dp
-from pebblegame.cli import TABLE_BLOCK, main
+from pebblegame.cli import main
 from pebblegame.cost import INFINITE, InfiniteCost
+from pebblegame.dp import TABLE_BLOCK
 
 FORMATS = ("plain", "csv", "tsv")
 
