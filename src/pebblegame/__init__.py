@@ -44,9 +44,7 @@ _EXPORTS = {
         "ReplayChecker",
         "Strategy",
         "VerificationReport",
-        "format_moves",
         "iter_strategy_moves",
-        "parse_moves",
         "reverse_strategy",
         "synthesize",
         "to_intervals",

@@ -41,8 +41,8 @@ CHUNK = 8192
 MEMO_SQUARES, MEMO_CAP = 128, 1 << 18
 LINE_SQUARES, INDEX_SQUARES = 1 << 16, 1 << 20
 # A block of moves the parser may read by int() alone: each line a sign and a square of
-# 1 to 640 ASCII digits (int() reads 640 under any limit), no leading zero, "\n" ended.
-_PLAIN = re.compile(r"(?:[+-][1-9][0-9]{0,639}\n)*")
+# ASCII digits with no leading zero, "\n" ended.
+_PLAIN = re.compile(r"(?:[+-][1-9][0-9]*\n)*")
 
 
 class Move(NamedTuple):
@@ -88,30 +88,21 @@ def _lines(n: int) -> list | None:
     return _format_signed([*range(n + 1), *range(-n, 0)]).splitlines(keepends=True)
 
 
-def format_moves(moves: Iterable[Move]) -> str:
-    """Moves as wire text.  Squares are positive, as on every board: square 0
-    has no sign, so a ``Move(False, 0)`` is written as ``+0``."""
-    return _format_signed(_signed(moves))
-
-
 def _parse_lines(lines: Iterable[str]) -> Iterator[Move]:
     return (parse_move(line) for line in lines if line.strip())
-
-
-def parse_moves(text: str) -> tuple:
-    return tuple(_parse_lines(text.splitlines()))
 
 
 def _iter_chunks(stream, size: int = 1 << 16, n: int | None = None) -> Iterator:
     """Parse moves from a text stream, calling only ``read(size)``, in memory
     O(size + the longest line): a line is held whole until its end is read.
 
-    Lines are those of ``str.splitlines``, as in ``parse_moves``.  When the text
-    up to the last ``\\n`` read is plain (``_PLAIN``), it is yielded as one list
-    of signed squares, read by int() or, once more lines than n <= LINE_SQUARES
-    are read, looked up in the table of ``_lines(n)``.  Other text goes through
-    ``parse_move`` line by line and is yielded one ``Move`` at a time, so a
-    consumer that applies each item before asking for the next sees errors in
+    Lines are those of ``str.splitlines``, each read as ``parse_move`` reads it.
+    When the text up to the last ``\\n`` read is plain (``_PLAIN``), it is yielded
+    as one list of signed squares, read by int() or, once more lines than
+    n <= LINE_SQUARES are read, looked up in the table of ``_lines(n)``.  Other
+    text, and a plain block with a square of more digits than int() reads, goes
+    through ``parse_move`` line by line and is yielded one ``Move`` at a time, so
+    a consumer that applies each item before asking for the next sees errors in
     input order.  What follows the cut is held for the next read, to join a line
     or ``\\r\\n`` cut in two; a read with no line break is only held, so a long
     line is scanned and joined once.
@@ -134,7 +125,8 @@ def _iter_chunks(stream, size: int = 1 << 16, n: int | None = None) -> Iterator:
             with contextlib.suppress(KeyError):
                 values = list(map(table.__getitem__, lines))
         if values is None and cut and _PLAIN.fullmatch(text, 0, cut):
-            values = list(map(int, text[:cut].split()))
+            with contextlib.suppress(ValueError):  # a square past int()'s digit limit
+                values = list(map(int, text[:cut].split()))
         if values is not None:
             yield values
             held = [text[cut:]]
@@ -192,7 +184,7 @@ class Strategy(_StrategyFields):
         return len(self.moves)
 
     def to_text(self) -> str:
-        return format_moves(self.moves)
+        return _format_signed(_signed(self.moves))
 
 
 class VerificationReport(NamedTuple):
@@ -546,15 +538,15 @@ def _summary_line(report) -> str:
 def cmd_strategy(args, limits) -> int:
     n, s = args.n, args.s
     split, total = _play_splits(n, s, limits.cell_budget)
+    if args.emit == "intervals" and total > limits.materialization_cap:
+        raise ResourceLimitError(
+            f"interval view needs {total} moves materialized; cap is "
+            f"{limits.materialization_cap} (the moves format streams instead)"
+        )
     replays = args.verify or args.emit == "intervals"  # else no board (up to 8 MB) is made
     checker = ReplayChecker(n, budget=s) if replays else None
     chunks = _emit(n, s, split)
     if args.emit == "intervals":
-        if total > limits.materialization_cap:
-            raise ResourceLimitError(
-                f"interval view needs {total} moves materialized; cap is "
-                f"{limits.materialization_cap} (the moves format streams instead)"
-            )
         print(_replay_intervals(checker, chunks).to_text(), end="")
     else:
         lines = _lines(n)

@@ -14,10 +14,10 @@ import pytest
 import pebblegame
 from pebblegame import (
     INFINITE,
+    Strategy,
     UnsolvableError,
     build_table,
     f_cost,
-    format_moves,
     iter_strategy_moves,
     synthesize,
     to_intervals,
@@ -140,12 +140,12 @@ def test_strategy_intervals_match_the_library_route(capsys):
                 0, to_intervals(play).to_text() + summary, ""
             ), (n, s)
             assert run(capsys, "strategy", str(n), str(s), "--verify") == (
-                0, format_moves(play.moves) + summary, ""
+                0, play.to_text() + summary, ""
             ), (n, s)
 
 
 def test_strategy_bytes_pinned_at_scale(capsys):
-    # The same text as format_moves(iter_strategy_moves(4096, 13)) in test_strategy.py.
+    # The text of Strategy(4096, iter_strategy_moves(4096, 13)) in test_strategy.py.
     code, out, err = run(capsys, "strategy", "4096", "13")
     assert (code, err) == (0, "")
     assert (
@@ -204,6 +204,18 @@ def test_strategy_interval_cap(capsys):
     code, _, err = run(capsys, "strategy", "8", "4", "--emit", "intervals", "--max-moves", "10")
     assert code == 65
     assert "cap" in err
+
+
+def test_strategy_interval_cap_refuses_before_any_board(capsys, monkeypatch):
+    # The (2**20, 21) play has 416,523,309 moves: the cap refuses it before a replay
+    # board of 2**20 + 2 slots is made.
+    monkeypatch.setattr(strategy, "ReplayChecker", None)
+    assert run(capsys, "strategy", "1048576", "21", "--emit", "intervals") == (
+        65,
+        "",
+        "resource limit: interval view needs 416523309 moves materialized; cap is 2000000 "
+        "(the moves format streams instead)\n",
+    )
 
 
 def test_strategy_moves_stream_despite_cap(capsys):
@@ -266,7 +278,7 @@ class _ChunkOnlyStdin:
 
 
 def test_verify_streams_stdin_in_chunks(capsys, monkeypatch):
-    moves = format_moves(iter_strategy_moves(1024, 11))
+    moves = Strategy(1024, iter_strategy_moves(1024, 11)).to_text()
     assert len(moves) > 2 * 2**16  # several reads at the parser's chunk size
     monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(moves))
     code, out, err = run(capsys, "verify", "1024", "11")
@@ -342,7 +354,8 @@ LONG_SQUARE = "+" + "1" * 5000  # more digits than int() reads by default
 @pytest.mark.parametrize(
     "text",
     [
-        # Every line a sign and digits, "\n" ended: all but the long square are plain.
+        # Every line a sign and digits, "\n" ended: a plain block, which int() refuses
+        # at the long square, so it is parsed line by line.
         "+1\n-1\n" + LONG_SQUARE + "\n",
         # Not plain: parsed line by line, the long square last, with no line break.
         "+1\r\n-1\n" + LONG_SQUARE,
@@ -357,10 +370,9 @@ def test_verify_refuses_a_square_too_long_to_read(capsys, monkeypatch, text):
     assert len(err.encode()) < 200
 
 
-@pytest.mark.parametrize("digits", [600, 4000], ids=["plain-lines", "line-by-line"])
+@pytest.mark.parametrize("digits", [600, 4000], ids=["plain-lines", "plain-lines-of-4000-digits"])
 def test_verify_cuts_the_quote_of_an_off_board_square(capsys, monkeypatch, digits):
-    # int() reads both squares; 600 digits are in a plain chunk, while 4,000 are
-    # past the 640 that a plain line may hold, so that chunk is parsed line by line.
+    # int() reads both squares, each in a plain chunk.
     square = "+" + "1" * digits
     monkeypatch.setattr("sys.stdin", _ChunkOnlyStdin(f"+1\n-1\n{square}\n"))
     code, out, err = run(capsys, "verify", "3", "3")

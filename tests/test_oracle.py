@@ -1,5 +1,7 @@
 """Exhaustive-search ground truth: small-board checks and witness validity."""
 
+import functools
+import math
 from collections import deque
 
 import pytest
@@ -11,6 +13,7 @@ from pebblegame import (
     bfs_path,
     f_cost,
     is_solvable,
+    split_point,
     verify,
 )
 from pebblegame import oracle
@@ -188,3 +191,93 @@ def test_agreement_with_recursion_on_whole_layers_past_the_cap(monkeypatch):
     for s in range(0, 7):
         for n in range(21, 33):
             assert bfs_min_time(n, s) == f_cost(n, s), (n, s)
+
+
+# -- every optimal split, and a census of shortest plays ------------------------
+
+
+@functools.cache
+def _bfs(n, s):
+    """The oracle's F(n, S) as a number, math.inf where unsolvable, from one search
+    per cell: S past n plays as S = n, since no board holds more than n pebbles."""
+    if s > n:
+        return _bfs(n, n)
+    time = bfs_min_time(n, s)
+    return math.inf if time is INFINITE else time
+
+
+def _optimal_splits(n, s):
+    """Every m whose three parts, each timed by the oracle, add up to the oracle's F(n, S)."""
+    return [
+        m for m in range(1, n) if _bfs(m, s) + _bfs(n - m, s - 1) + _bfs(m, s - 1) == _bfs(n, s)
+    ]
+
+
+def test_optimal_splits_by_the_oracle_form_a_range_from_split_point():
+    # Checked against the oracle alone, not the recursion that split_point reads.
+    cells = 0
+    for n in range(2, 17):
+        for s in range(1, n + 1):
+            if is_solvable(n, s):
+                splits = _optimal_splits(n, s)
+                assert splits and splits == list(range(split_point(n, s), splits[-1] + 1)), (n, s)
+                cells += 1
+    assert cells == 86
+
+
+def _shortest_plays(n, s):
+    """(length, number) of the shortest plays from the empty board to {n}, counting
+    the paths into each board over the levels of a breadth-first search."""
+    budget, target = min(s, n), 1 << (n - 1)
+    seen, level, length = {0}, {0: 1}, 0
+    while level and target not in level:
+        after = {}
+        for board, paths in level.items():
+            for i in range(n):
+                if i and not board >> (i - 1) & 1:
+                    continue
+                moved = board ^ (1 << i)
+                if moved not in seen and moved.bit_count() <= budget:
+                    after[moved] = after.get(moved, 0) + paths
+        seen.update(after)
+        level, length = after, length + 1
+    return length, level.get(target, 0)
+
+
+@functools.cache
+def _three_part_plays(n, s):
+    """The plays of the three-part form over every optimal split, at every level;
+    one square has the one play +1."""
+    if n == 1:
+        return 1
+    return sum(
+        _three_part_plays(m, s) * _three_part_plays(n - m, s - 1) * _three_part_plays(m, s - 1)
+        for m in _optimal_splits(n, s)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, s, f, shortest, three_part, splits",
+    [
+        (4, 3, 9, 2, 1, (2, 2)),
+        (8, 5, 21, 1366, 6, (1, 4)),
+        (10, 6, 27, 175394, 20, (1, 5)),
+        (12, 7, 33, 42264636, 71, (1, 6)),
+        (12, 12, 23, 1, 1, (1, 1)),
+    ],
+    ids=["4-3", "8-5", "10-6", "12-7", "12-12"],
+)
+def test_census_of_shortest_and_three_part_plays(n, s, f, shortest, three_part, splits):
+    # Most shortest plays are not of the three-part form: the canonical play is
+    # one optimum among many.
+    assert _shortest_plays(n, s) == (f, shortest)
+    assert _three_part_plays(n, s) == three_part
+    found = _optimal_splits(n, s)
+    assert (found[0], found[-1]) == splits
+
+
+def test_census_length_is_the_oracles_and_f_on_every_small_cell():
+    for n in range(1, 13):
+        for s in range(1, n + 1):
+            if is_solvable(n, s):
+                assert _shortest_plays(n, s)[0] == _bfs(n, s) == f_cost(n, s), (n, s)

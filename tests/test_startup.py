@@ -24,7 +24,8 @@ PLAY = "+1\n+2\n-1\n"
 
 # Every name dir(pebblegame) listed when the package imported all its
 # submodules up front, by the submodule that defines it, less the names
-# since removed (min_ts, parse_cost, f_gamma, place, remove).
+# since removed (min_ts, parse_cost, f_gamma, place, remove, format_moves,
+# parse_moves).
 PUBLIC_NAMES = {
     "analysis": """BEYOND_TABLE FGammaRow ThresholdRecord TsRecord entropy f_bound_lower_sum
         f_bound_upper_sum f_gamma_report min_ts_auto threshold_record
@@ -34,9 +35,8 @@ PUBLIC_NAMES = {
     "dp": "DpTables build_table delta f_cost is_solvable split_point table_delta",
     "errors": "CostOverflowError ResourceLimitError TableRangeError UnsolvableError",
     "oracle": "bfs_min_time bfs_path",
-    "strategy": """IntervalView Move ReplayChecker Strategy VerificationReport format_moves
-        iter_strategy_moves parse_moves reverse_strategy synthesize
-        to_intervals verify""",
+    "strategy": """IntervalView Move ReplayChecker Strategy VerificationReport
+        iter_strategy_moves reverse_strategy synthesize to_intervals verify""",
 }
 
 

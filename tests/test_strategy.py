@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import re
+import sys
 import time
 import tracemalloc
 import unittest.mock
@@ -36,10 +37,14 @@ from pebblegame.strategy import (
     _play_splits,
     ReplayChecker,
     Strategy,
-    format_moves,
     parse_move,
-    parse_moves,
 )
+
+
+def parse_moves(text: str) -> tuple:
+    """The per-line reference reader: ``parse_move`` on each line of ``str.splitlines``
+    that is not blank.  ``_iter_chunks`` must give the same moves and the same error."""
+    return tuple(parse_move(line) for line in text.splitlines() if line.strip())
 
 
 def play(text: str, n: int) -> Strategy:
@@ -72,7 +77,7 @@ def test_move_text_forms():
 
 def test_moves_block_round_trip():
     moves = (Move(True, 1), Move(True, 2), Move(False, 1))
-    assert format_moves(moves) == "+1\n+2\n-1\n"
+    assert Strategy(2, moves).to_text() == "+1\n+2\n-1\n"
     assert parse_moves("+1\n+2\n-1\n") == moves
 
 
@@ -150,7 +155,7 @@ def test_deep_play_has_no_depth_limit():
 
 
 def test_canonical_move_order_pinned_at_scale():
-    text = format_moves(iter_strategy_moves(4096, 13))
+    text = Strategy(4096, iter_strategy_moves(4096, 13)).to_text()
     assert text.count("\n") == 190947
     assert (
         hashlib.sha256(text.encode()).hexdigest()
@@ -160,7 +165,7 @@ def test_canonical_move_order_pinned_at_scale():
 
 def test_canonical_move_order_pinned_with_ladders():
     # Recorded while the emitter played each ladder square by square.
-    text = format_moves(iter_strategy_moves(16384, 20))
+    text = Strategy(16384, iter_strategy_moves(16384, 20)).to_text()
     assert text.count("\n") == 408849
     assert (
         hashlib.sha256(text.encode()).hexdigest()
@@ -552,7 +557,7 @@ def test_reverse_is_an_involution(moves):
 @settings(max_examples=60, derandomize=True)
 @given(move_lists)
 def test_move_text_round_trip(moves):
-    assert parse_moves(format_moves(moves)) == tuple(moves)
+    assert parse_moves(Strategy(6, moves).to_text()) == tuple(moves)
 
 
 # -- the replay core against a per-move set-board replay -----------------------
@@ -752,7 +757,7 @@ def test_off_board_quote_of_a_square_past_the_int_digit_limit(sign):
     assert checker.steps == 0
 
 
-# -- the chunked parser against parse_moves ------------------------------------
+# -- the chunked parser against the per-line reference, parse_moves ------------
 
 text_pieces = st.sampled_from(
     ["\n", "\r\n", "\r", "\x0c", " ", "   ", "\n\n", "+1", "-2", "+13", "+0", "-0",
@@ -829,14 +834,33 @@ def test_parser_fast_route_reads_plain_lines():
     assert tuple(_iter_moves(io.StringIO("+1\n+2\r-1"))) == parse_moves("+1\n+2\r-1")
 
 
-def test_parser_leaves_a_square_past_640_digits_to_parse_move():
-    # int() reads 640 digits under any digit limit; a longer square goes line by line,
-    # where parse_move refuses one of more digits than int() reads as off the board.
-    assert _chunk_kinds("+" + "1" * 640 + "\n") == ["list"]
-    assert _chunk_kinds("+1\n+" + "1" * 641 + "\n") == ["move", "move"]
-    with pytest.raises(ValueError) as raised:
-        parse_move("-" + "2" * 5000)
-    assert str(raised.value) == f"move {'-' + '2' * 39!r}... references a square outside the board"
+@pytest.mark.parametrize(
+    "limit, digits",
+    [(4300, 4300), (4300, 4301), (640, 640), (640, 641)],
+    ids=["default-limit", "past-the-default-limit", "least-limit", "past-the-least-limit"],
+)
+def test_parser_reads_squares_as_far_as_int_does(limit, digits):
+    # int()'s digit limit, whatever it is set to, is the reader's one digit rule: a
+    # plain block is read by int() up to it, and one with a longer square goes line by
+    # line, where parse_move refuses that square as off the board.  4,300 is the
+    # default limit and 640 the least one.
+    text = "+1\n-1\n-" + "2" * digits + "\n+2\n"
+    reads = digits <= limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for n in (None, 3):
+            assert _chunk_kinds(text, n) == (["list"] if reads else ["move", "move"])
+            assert _outcome(lambda: tuple(_iter_moves(io.StringIO(text), n=n))) == _outcome(
+                lambda: parse_moves(text)
+            )
+        if not reads:
+            with pytest.raises(ValueError) as raised:
+                parse_moves(text)
+            shown = "-" + "2" * 39
+            assert str(raised.value) == f"move {shown!r}... references a square outside the board"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class _Unbroken:
