@@ -13,14 +13,12 @@ _EXPORTS = {
     "analysis": (
         "BEYOND_TABLE",
         "FGammaRow",
-        "ThresholdRecord",
         "TsRecord",
         "entropy",
         "f_bound_lower_sum",
         "f_bound_upper_sum",
         "f_gamma_report",
         "min_ts_auto",
-        "threshold_record",
         "x_lower",
         "x_threshold",
         "x_upper",

@@ -41,16 +41,6 @@ def _validate_ks(k: int, s: int, min_s: int = 2) -> None:
     _check_int("S", s, min_s)
 
 
-class ThresholdRecord(NamedTuple):
-    """Least n whose marginal cost exceeds 2**k, with its closed-form bounds."""
-
-    k: int
-    s: int
-    x: object  # int, or BEYOND_TABLE when the table is too small
-    x_lower: int
-    x_upper: int
-
-
 class TsRecord(NamedTuple):
     """Exact minimizer of F(n, S) * S over pebble budgets."""
 
@@ -107,12 +97,6 @@ def f_bound_upper_sum(k: int, s: int) -> int:
     _validate_ks(k, s)
     total = sum(math.comb(s + i - 2, i) * (2**i + 1) for i in range(k + 1))
     return _checked(total, f"f_bound_upper_sum(k={k}, S={s})")
-
-
-def threshold_record(k: int, s: int, tables: dp.DpTables | dp.Layer) -> ThresholdRecord:
-    return ThresholdRecord(
-        k=k, s=s, x=x_threshold(k, s, tables), x_lower=x_lower(k, s), x_upper=x_upper(k, s)
-    )
 
 
 def entropy(gamma: float) -> float:
@@ -207,15 +191,14 @@ def cmd_bounds(args, limits) -> int:
     ]
     rows = [header]
     for k, (lower_sum, upper_sum) in enumerate(sums, 1):
-        record = threshold_record(k, s, layer)
-        f_lower = layer.cost(record.x_lower)
-        f_upper = layer.cost(record.x_upper)
+        x, low, high = x_threshold(k, s, layer), x_lower(k, s), x_upper(k, s)
+        f_lower, f_upper = layer.cost(low), layer.cost(high)
         rows.append(
             [
                 str(k),
-                str(record.x_lower),
-                "beyond" if record.x is BEYOND_TABLE else str(record.x),
-                str(record.x_upper),
+                str(low),
+                "beyond" if x is BEYOND_TABLE else str(x),
+                str(high),
                 str(lower_sum),
                 format_cost(f_lower),
                 "ok" if f_lower <= lower_sum else "FAIL",

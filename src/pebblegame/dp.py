@@ -327,10 +327,11 @@ def cmd_table(args, limits) -> int:
 
     F(n, S) is finite exactly where n <= top(S) = min(2**(S-1), nmax), so
     in row n the "inf" columns are the prefix S = 1..k, and that prefix is
-    the same in every row of the band top(k) < n <= top(k+1).  Each band's
-    line has those cells written in; only the finite layers' costs are
-    formatted into it, TABLE_BLOCK rows per write.  The prefix holds only
-    while tops never fall with S, which is checked.
+    the same in every row of the band top(k) < n <= top(k+1), with top(0) = 0
+    and top(smax+1) = nmax.  A band with rows gets one line with those cells
+    written in, and only the finite layers' costs are formatted into it,
+    TABLE_BLOCK rows per write; a band between equal tops has no rows and no
+    line.  The prefix holds only while tops never fall with S, which is checked.
     """
     nmax = args.nmax
     layers = list(_layers(nmax, args.smax, limits.cell_budget))
@@ -348,12 +349,11 @@ def cmd_table(args, limits) -> int:
     infinite = ["inf".rjust(width) for width in widths[1:]]
     print(sep.join(map(str.rjust, header, widths)))
     costs = [layer.costs() for layer in layers]
-    first = 1
-    for k, last in enumerate(tops + [nmax]):  # band k: rows first..last
+    for k, (top, last) in enumerate(zip([0, *tops], [*tops, nmax])):  # band k: rows top+1..last
+        if top == last:
+            continue
         line = sep.join([cells[0], *infinite[:k], *cells[k + 1:]]) + "\n"
-        rows = zip(range(first, last + 1), *costs[k:])
-        width = len(layers) - k + 1
-        while values := tuple(itertools.chain.from_iterable(itertools.islice(rows, TABLE_BLOCK))):
-            print(line * (len(values) // width) % values, end="")
-        first = last + 1
+        rows = zip(range(top + 1, last + 1), *costs[k:])
+        while block := tuple(itertools.islice(rows, TABLE_BLOCK)):
+            print(line * len(block) % tuple(itertools.chain.from_iterable(block)), end="")
     return EXIT_OK

@@ -41,8 +41,8 @@ CHUNK = 8192
 MEMO_SQUARES, MEMO_CAP = 128, 1 << 18
 LINE_SQUARES, INDEX_SQUARES = 1 << 16, 1 << 20
 # A block of moves the parser may read by int() alone: each line a sign and a square of
-# ASCII digits with no leading zero, "\n" ended.
-_PLAIN = re.compile(r"(?:[+-][1-9][0-9]*\n)*")
+# ASCII digits with no leading zero, "\n" or "\r\n" ended.
+_PLAIN = re.compile(r"(?:[+-][1-9][0-9]*\r?\n)*")
 
 
 class Move(NamedTuple):

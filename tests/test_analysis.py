@@ -19,7 +19,6 @@ from pebblegame import (
     f_gamma_report,
     min_ts_auto,
     table_delta,
-    threshold_record,
     x_lower,
     x_threshold,
     x_upper,
@@ -144,11 +143,6 @@ def test_corrected_upper_cost_bound_holds(tables_32769_16):
             cost = tables_32769_16.f[point][s]
             assert cost is not INFINITE
             assert cost >= bound, (k, s, cost, bound)
-
-
-def test_threshold_record(tables_100_20):
-    record = threshold_record(2, 5, tables_100_20)
-    assert record.x_lower <= record.x <= record.x_upper
 
 
 def test_binomial_identity():

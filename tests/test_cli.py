@@ -357,7 +357,8 @@ LONG_SQUARE = "+" + "1" * 5000  # more digits than int() reads by default
         # Every line a sign and digits, "\n" ended: a plain block, which int() refuses
         # at the long square, so it is parsed line by line.
         "+1\n-1\n" + LONG_SQUARE + "\n",
-        # Not plain: parsed line by line, the long square last, with no line break.
+        # A plain block with a "\r\n" line, then the long square with no line break,
+        # held to the end and parsed by parse_move.
         "+1\r\n-1\n" + LONG_SQUARE,
     ],
     ids=["plain-lines", "line-by-line"],

@@ -6,13 +6,11 @@ import math
 import pytest
 
 from pebblegame import (
-    BEYOND_TABLE,
     DpTables,
     FGammaRow,
     IntervalView,
     Move,
     Strategy,
-    ThresholdRecord,
     TsRecord,
     VerificationReport,
     build_table,
@@ -50,10 +48,6 @@ RECORDS = [
     (
         IntervalView(n=2, squares=(((1, 2),), ((2, None),))),
         "IntervalView(n=2, squares=(((1, 2),), ((2, None),)))",
-    ),
-    (
-        ThresholdRecord(k=2, s=3, x=BEYOND_TABLE, x_lower=4, x_upper=4),
-        "ThresholdRecord(k=2, s=3, x=beyond-table, x_lower=4, x_upper=4)",
     ),
     (
         TsRecord(n=1, best_s=1, best_f=1, product=1, ratio=math.nan),

@@ -10,9 +10,14 @@ cell with %s.
 import contextlib
 import io
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pebblegame
 from pebblegame import dp
 from pebblegame.cli import main
 from pebblegame.cost import INFINITE, InfiniteCost
@@ -100,3 +105,22 @@ def test_table_refuses_tops_that_fall(monkeypatch):
     monkeypatch.setattr(dp, "_layers", lambda *args: swapped)
     with pytest.raises(ArithmeticError, match="fall with S"):
         table(8, 4, "csv")
+
+
+def test_table_writes_only_the_bands_that_hold_rows():
+    """A band between equal layer tops holds no row and is given no line, so a
+    wide table costs its cells, not smax cells per band.  Writing a line of
+    20,000 cells for each of the 20,000 bands of `table 1 20000` took 17-20 s on
+    a 2-core x86 VM, against about 0.2 s for the band walk."""
+    src = Path(pebblegame.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from pebblegame.cli import main; sys.exit(main())",
+         "table", "1", "20000", "--format", "csv"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=15,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == reference_table(1, 20000, "csv")
