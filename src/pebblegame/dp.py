@@ -117,13 +117,11 @@ class Layer(NamedTuple):
         return itertools.accumulate(slopes, initial=1)
 
     def splits(self) -> Iterator:
-        """The least split for n = 1..top: 0 at n = 1 where none is defined, 1 at
-        n = 2, then a range per G run of the picks and a repeat per H run."""
-        runs, m = [[0, 1][: self.top]], 1
-        for is_g, count in self.picks:
-            runs.append(range(m + 1, m + count + 1) if is_g else itertools.repeat(m, count))
-            m += is_g * count
-        return itertools.chain.from_iterable(runs)
+        """The least split for n = 1..top: 0 at n = 1 where none is defined, then
+        1 plus the G picks among the first n-2."""
+        picks = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.picks))
+        splits = itertools.accumulate(picks, initial=1)
+        return itertools.islice(itertools.chain([0], splits), self.top)
 
     def _check(self, n: int) -> None:
         if not 1 <= n <= self.nmax:

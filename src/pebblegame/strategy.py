@@ -10,9 +10,9 @@ squares; each leaf is a ladder (S >= n) or a small subgame copied from a memo,
 and a subgame played backwards is its parts in reverse order, each backwards.
 One replay core, ``ReplayChecker.feed_signed``, applies moves under the game
 rule that square i may change only when i == 1 or square i-1 is occupied; the
-verification report, the peak, the residence intervals and their nesting are
-by-products.  The handlers of the ``strategy`` and ``verify`` commands are the last
-functions here; only a play's splits need ``dp``, which ``verify`` never loads.
+verification report, the peak and the residence intervals are by-products.  The
+handlers of the ``strategy`` and ``verify`` commands are the last functions here;
+only a play's splits need ``dp``, which ``verify`` never loads.
 """
 
 from __future__ import annotations
@@ -146,6 +146,13 @@ def _off_board(place: bool, square: int, n: int) -> ValueError:
     return ValueError(f"move {shown} references a square outside the {n}-square board")
 
 
+def _check_board(n) -> None:
+    """ValueError unless the board size n is an int (not a bool) of at least 1."""
+    _check_int("board size", n)
+    if n < 1:
+        raise ValueError(f"board size must be >= 1, got {n}")
+
+
 class _StrategyFields(NamedTuple):
     n: int
     moves: tuple
@@ -163,8 +170,7 @@ class Strategy(_StrategyFields):
     __slots__ = ()
 
     def __new__(cls, n: int, moves: Iterable[Move]) -> "Strategy":
-        if n < 1:
-            raise ValueError(f"board size must be >= 1, got {n}")
+        _check_board(n)
         moves = tuple(moves)
         for move in moves:
             if not 1 <= move.square <= n:
@@ -192,7 +198,6 @@ class VerificationReport(NamedTuple):
     step_count: int
     peak_pebbles: int
     first_violation: Optional[tuple]  # (step, rule) or None
-    nesting_violations: tuple  # ((square, (start, end-or-None)), ...)
 
 
 class ReplayChecker:
@@ -201,23 +206,20 @@ class ReplayChecker:
     Structural violations (double place, remove from empty, disabled move)
     halt the replay because later board states would be meaningless.  A
     budget overshoot is recorded but the replay continues, so the true peak
-    is still reported.  Nested residence intervals are detected online: when
-    an interval of square i closes while square i+1 has been held at least
-    as long, that interval contributed nothing.  The board maps each occupied
-    square, and square 0, to the step it was pebbled at (0 for square 0, so that
-    square 1 is enabled): up to INDEX_SQUARES squares a list of n + 2 slots, None
-    where empty, and above, a dict, so memory is O(pebbles) whatever the size.
+    is still reported.  The board maps each occupied square, and square 0, to the
+    step it was pebbled at (0 for square 0, so that square 1 is enabled): up to
+    INDEX_SQUARES squares a list of n + 2 slots, None where empty, and above, a
+    dict, so memory is O(pebbles) whatever the size.
     """
 
     def __init__(self, n: int, budget: int | None = None, initial: Iterable[int] = ()):
-        if n < 1:
-            raise ValueError(f"board size must be >= 1, got {n}")
+        _check_board(n)
         self.n = n
         self.budget = budget
         initial = dict.fromkeys(initial, 0)
         if any(not 1 <= i <= n for i in initial):
             raise ValueError("initial pebbles outside the board")
-        self._indexed = isinstance(n, int) and n <= INDEX_SQUARES
+        self._indexed = n <= INDEX_SQUARES
         self._starts = [None] * (n + 2) if self._indexed else {}
         self._starts[0] = 0
         for i in initial:
@@ -226,7 +228,6 @@ class ReplayChecker:
         self.steps = 0
         self.first_violation: Optional[tuple] = None
         self.halt: Optional[tuple] = None  # (step, rule) of the structural violation
-        self.nesting: list = []
 
     @property
     def board(self):
@@ -261,8 +262,6 @@ class ReplayChecker:
         """
         n = self.n
         board, indexed = self._starts, self._indexed
-        get = board.get if not indexed else None
-        nesting = self.nesting
         step, peak, size = self.steps, self.peak, self._pebbles
         violation, rule = self.first_violation, None
         # No square beyond n exists, so n pebbles are never over the limit.
@@ -290,7 +289,7 @@ class ReplayChecker:
                         i = -value
                         if not 0 < i <= n:
                             break
-                        start = board[i] if indexed else get(i)
+                        start = board[i] if indexed else board.get(i)
                         if start is None:
                             rule = RULE_OCCUPANCY
                             break
@@ -302,9 +301,6 @@ class ReplayChecker:
                         else:
                             del board[i]
                         size -= 1
-                        after = board[i + 1] if indexed else get(i + 1)
-                        if after is not None and after <= start:
-                            nesting.append((i, (start, step - 1)))
                         if closed is not None:
                             closed.append((i, (start, step - 1)))
                 else:
@@ -324,22 +320,16 @@ class ReplayChecker:
             self.first_violation = violation
 
     def finish(self, expected: frozenset) -> VerificationReport:
-        """Check the final board against ``expected`` and open-interval nesting,
-        and return the report of the whole replay."""
-        if self.halt is None:
-            board = self._occupied()
-            for i in sorted(board):
-                if i + 1 in board and board[i + 1] <= board[i]:
-                    self.nesting.append((i, (board[i], None)))
-            if board.keys() != set(expected) and self.first_violation is None:
-                self.first_violation = (self.steps, RULE_FINAL)
+        """Check the final board against ``expected`` and return the report of the
+        whole replay."""
+        if self.halt is None and self.board != set(expected) and self.first_violation is None:
+            self.first_violation = (self.steps, RULE_FINAL)
         return VerificationReport(
             valid=self.first_violation is None
             and (self.budget is None or self.peak <= self.budget),
             step_count=self.steps,
             peak_pebbles=self.peak,
             first_violation=self.first_violation,
-            nesting_violations=tuple(self.nesting),
         )
 
 
@@ -347,8 +337,7 @@ def verify(strategy: Strategy, budget: int) -> VerificationReport:
     """Replay a strategy from the empty board and report every rule outcome.
 
     Valid means: every move legal, final board exactly {square n}, and the
-    peak pebble count within the budget.  Nesting violations are reported
-    but do not make the strategy invalid.
+    peak pebble count within the budget.
     """
     checker = ReplayChecker(strategy.n, budget=budget)
     checker.feed_signed(_signed(strategy.moves))
@@ -573,7 +562,6 @@ def cmd_verify(args, limits) -> int:
                     checker.feed_signed(chunk)
                 else:
                     checker.feed(chunk)
-                checker.nesting.clear()  # not printed, so not held
     except OSError as exc:
         where = "from stdin" if on_stdin else f"file {args.file!r}"
         raise ValueError(f"cannot read moves {where}: {exc}") from exc

@@ -75,8 +75,8 @@ def pairwise_nesting():
     """Intervals of square i contained in an interval of square i+1, found pairwise.
 
     Every interval of square i is compared with every interval of square i+1
-    of an ``IntervalView``, in O(k**2) per square.  It shares nothing with the
-    online detection in ``ReplayChecker`` and serves as its reference.
+    of an ``IntervalView``, in O(k**2) per square.  Such an interval is wasted:
+    square i+1 was pebbled no later than it and did not move before it closed.
     """
 
     def nesting(view):
@@ -111,7 +111,6 @@ class _ReferenceReplay:
         self.steps = 0
         self.first_violation = None
         self.halted = False
-        self.nesting = []
         self.closed = []
 
     def feed(self, value):
@@ -141,10 +140,7 @@ class _ReferenceReplay:
             return
         start = self.open_start.pop(i)
         self.board.discard(i)
-        interval = (start, step - 1)
-        if i + 1 in self.board and self.open_start[i + 1] <= start:
-            self.nesting.append((i, interval))
-        self.closed.append((i, interval))
+        self.closed.append((i, (start, step - 1)))
 
     def _halt(self, step, rule):
         self.halted = True

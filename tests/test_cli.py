@@ -328,9 +328,9 @@ def _verify_peak(capsys, path, text):
     return code, peak
 
 
-def test_verify_holds_no_nesting_records(capsys, tmp_path):
+def test_verify_memory_is_bounded_on_plays_with_wasted_intervals(capsys, tmp_path):
     # 100,002 moves each: in the first, every "-1 +1" after the first closes an
-    # interval of square 1 nested in square 2's, which verify does not print.
+    # interval of square 1 nested in square 2's, wasted work that verify keeps no record of.
     nested = _verify_peak(capsys, tmp_path / "nested.txt", "+1\n+2\n" + "-1\n+1\n" * 50000)
     flat = _verify_peak(capsys, tmp_path / "flat.txt", "+1\n-1\n" * 50001)
     assert (nested[0], flat[0]) == (2, 2)

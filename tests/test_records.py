@@ -40,10 +40,8 @@ RECORDS = [
             step_count=3,
             peak_pebbles=2,
             first_violation=None,
-            nesting_violations=(),
         ),
-        "VerificationReport(valid=True, step_count=3, peak_pebbles=2,"
-        " first_violation=None, nesting_violations=())",
+        "VerificationReport(valid=True, step_count=3, peak_pebbles=2, first_violation=None)",
     ),
     (
         IntervalView(n=2, squares=(((1, 2),), ((2, None),))),
@@ -99,6 +97,9 @@ def test_strategy_converts_moves_and_keeps_its_checks():
     assert Strategy(2, list(MOVES)) == Strategy(n=2, moves=MOVES)
     with pytest.raises(ValueError, match=r"^board size must be >= 1, got 0$"):
         Strategy(0, ())
+    for n in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match=rf"^board size must be an integer, got {n!r}$"):
+            Strategy(n, ())
     with pytest.raises(
         ValueError,
         match=r"^move \+3 references a square outside the 2-square board$",

@@ -125,6 +125,8 @@ def test_unknown_names_raise_attribute_error():
     for removed in ("min_ts", "parse_cost", "f_gamma", "place", "remove"):
         assert not hasattr(pebblegame, removed), removed
     assert not hasattr(pebblegame.DpTables, "split")
+    assert "nesting_violations" not in pebblegame.VerificationReport._fields
+    assert not hasattr(pebblegame.ReplayChecker(1), "nesting")
 
 
 # Runs the eight commands through cli.main in an interpreter started with -S,

@@ -373,7 +373,6 @@ def test_optimality_small_sweep():
             assert strat.step_count == bfs_min_time(n, s), (n, s)
             report = verify(strat, s)
             assert report.valid, (n, s, report)
-            assert report.nesting_violations == (), (n, s)
 
 
 def test_reverse_examples():
@@ -398,6 +397,9 @@ def test_reverse_solution_empties_the_board():
 def test_replay_checker_rejects_a_board_it_cannot_hold():
     with pytest.raises(ValueError, match=r"^board size must be >= 1, got 0$"):
         ReplayChecker(0)
+    for n in (True, 3.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match=rf"^board size must be an integer, got {n!r}$"):
+            ReplayChecker(n)
     for initial in ({0}, {5}, {1, 5}, {-1}):
         with pytest.raises(ValueError, match=r"^initial pebbles outside the board$"):
             ReplayChecker(4, initial=initial)
@@ -437,17 +439,26 @@ def test_verify_final_configuration():
     assert report.first_violation == (2, "final")
 
 
-def test_verify_reports_nesting_but_stays_valid():
-    # Square 1 is re-pebbled and dropped while square 2 rests: wasted work.
-    report = verify(play("+1\n+2\n-1\n+1\n-1\n", 2), 2)
-    assert report.valid
-    assert report.nesting_violations == ((1, (4, 4)),)
+def _on_both_boards(call):
+    """``call()`` with the board a list, as it is up to INDEX_SQUARES, then a dict."""
+    listed = call()
+    with unittest.mock.patch.object(strategy, "INDEX_SQUARES", 0):
+        return listed, call()
 
 
-def test_nesting_with_open_intervals():
-    report = verify(play("+1\n+2\n-1\n+1\n", 2), 2)
-    assert not report.valid  # final board is {1, 2}
-    assert report.nesting_violations == ((1, (4, None)),)
+def test_verify_keeps_a_play_with_a_wasted_interval_valid(pairwise_nesting):
+    # Square 1 is re-pebbled and dropped while square 2 rests: wasted work, but legal.
+    strat = play("+1\n+2\n-1\n+1\n-1\n", 2)
+    assert pairwise_nesting(to_intervals(strat)) == ((1, (4, 4)),)
+    listed, keyed = _on_both_boards(lambda: verify(strat, 2))
+    assert listed == keyed == (True, 5, 2, None)
+
+
+def test_nesting_with_open_intervals(pairwise_nesting):
+    strat = play("+1\n+2\n-1\n+1\n", 2)
+    assert pairwise_nesting(to_intervals(strat)) == ((1, (4, None)),)
+    listed, keyed = _on_both_boards(lambda: verify(strat, 2))
+    assert listed == keyed == (False, 4, 2, (4, "final"))  # final board is {1, 2}
 
 
 def test_interval_view_example():
@@ -480,19 +491,6 @@ def test_interval_round_trip_reconstruction(reference_replay):
             assert got == want, (n, s, i)
 
 
-def test_interval_nesting_matches_online_detection(pairwise_nesting):
-    samples = [
-        "+1\n+2\n-1\n+1\n-1\n",
-        "+1\n+2\n-1\n+1\n",
-        "+1\n+2\n+3\n-2\n",
-        "+1\n",
-    ]
-    for text in samples:
-        strat = play(text, 3)
-        report = verify(strat, 3)
-        assert pairwise_nesting(to_intervals(strat)) == report.nesting_violations, text
-
-
 def test_synthesized_views_have_no_nesting(pairwise_nesting):
     for n in range(1, 33):
         for s in range(1, 7):
@@ -517,11 +515,9 @@ def legal_plays(draw):
 
 @settings(max_examples=150, derandomize=True)
 @given(legal_plays())
-def test_replay_by_products_agree_on_legal_plays(pairwise_nesting, reference_replay, strat):
+def test_replay_by_products_agree_on_legal_plays(reference_replay, strat):
     report = verify(strat, strat.n)
     view = to_intervals(strat)
-    # The checker lists nestings as intervals close, the reference by square.
-    assert sorted(report.nesting_violations) == sorted(pairwise_nesting(view))
     squares, ref = reference_squares(reference_replay, strat)
     assert view.squares == squares
     assert strat.peak_pebbles == report.peak_pebbles == ref.peak
@@ -607,7 +603,6 @@ def _replay_state(checker, closed):
         checker.peak,
         checker.first_violation,
         checker.halt is not None,
-        checker.nesting,
         closed,
         checker._occupied(),
     )
@@ -640,7 +635,6 @@ def _check_replay_core(reference_replay, n, budget, initial, values, cuts):
         reference.peak,
         reference.first_violation,
         reference.halted,
-        reference.nesting,
         reference.closed,
         reference.open_start,
     )
@@ -690,12 +684,6 @@ def _replay_at_the_top(n):
     return outcomes
 
 
-def test_a_board_size_that_is_no_int_replays_on_a_dict():
-    # Strategy takes any n >= 1, and only an int sizes a list of slots.
-    moves = synthesize(4, 3).moves
-    assert verify(Strategy(4.0, moves), 3) == verify(Strategy(4, moves), 3)
-
-
 @pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
 def test_list_and_dict_boards_replay_alike_at_the_index_bound(monkeypatch, past):
     n = strategy.INDEX_SQUARES + past
@@ -709,10 +697,10 @@ def test_list_and_dict_boards_replay_alike_at_the_index_bound(monkeypatch, past)
     assert intervals.squares[n - 4:] == (
         ((0, None),), ((0, 6), (8, None)), ((1, 2), (4, 5)), ((2, 4),)
     )
-    assert report == (False, 8, 4, (2, "budget"), ())
+    assert report == (False, 8, 4, (2, "budget"))
     assert state[:4] == (12, 4, (10, "occupancy"), True)
-    assert state[6] == {n - 3: 0, n - 2: 8, n - 1: 9}
-    assert halted == (False, 12, 4, (10, "occupancy"), ())
+    assert state[5] == {n - 3: 0, n - 2: 8, n - 1: 9}
+    assert halted == (False, 12, 4, (10, "occupancy"))
     assert default[5] == (
         ValueError,
         f"move +{n + 1} references a square outside the {n}-square board",
