@@ -24,7 +24,7 @@ _EXPORTS = {
         "x_upper",
     ),
     "config": (),
-    "cost": ("INFINITE", "MAX_FINITE_COST", "Cost", "format_cost"),
+    "cost": ("INFINITE", "MAX_FINITE_COST", "Cost"),
     "dp": (
         "DpTables",
         "build_table",

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from . import config, dp
-from .cost import INFINITE, MAX_FINITE_COST, _checked, format_cost
+from .cost import INFINITE, MAX_FINITE_COST, _checked
 from .errors import EXIT_OK, ResourceLimitError, TableRangeError, _check_int
 
 
@@ -150,6 +150,7 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     """
     _check_int("n", n, 1)
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
+    _check_int("cell_budget", budget)
     s_start = (n - 1).bit_length() + 1
     smax = min(n, budget // n)
     s = s_start - 1  # every S <= s is unsolvable or scanned; S = s + 1 needs n * (s + 1) cells
@@ -200,10 +201,10 @@ def cmd_bounds(args, limits) -> int:
                 "beyond" if x is BEYOND_TABLE else str(x),
                 str(high),
                 str(lower_sum),
-                format_cost(f_lower),
+                str(f_lower),
                 "ok" if f_lower <= lower_sum else "FAIL",
                 str(upper_sum),
-                format_cost(f_upper),
+                str(f_upper),
                 "ok" if f_upper >= upper_sum else "FAIL",
             ]
         )

@@ -58,8 +58,3 @@ def _checked(value: int, what: str) -> int:
     if value > MAX_FINITE_COST:
         raise CostOverflowError(f"{what} exceeds the 64-bit cap")
     return value
-
-
-def format_cost(cost: Cost) -> str:
-    return "inf" if cost is INFINITE else str(cost)
-

@@ -43,7 +43,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from . import config
-from .cost import INFINITE, MAX_FINITE_COST, Cost, _checked, format_cost
+from .cost import INFINITE, MAX_FINITE_COST, Cost, _checked
 from .errors import EXIT_OK, EXIT_UNSOLVABLE, _check_int, _validate
 from .errors import CostOverflowError, ResourceLimitError, TableRangeError
 
@@ -216,12 +216,13 @@ def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[Layer]:
 
     Every check of a layer pass is made here or in the one walk of each
     layer, ``_next_layer``: nmax and smax are integers >= 1, and the cell
-    budget bounds nmax * smax, the cells a table of these layers would hold,
-    all before any layer is made.
+    budget is an integer that bounds nmax * smax, the cells a table of these
+    layers would hold, all before any layer is made.
     """
     _check_int("nmax", nmax, 1)
     _check_int("smax", smax, 1)
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
+    _check_int("cell_budget", budget)
     if nmax * smax > budget:
         raise ResourceLimitError(
             f"table of {nmax * smax} cells exceeds the cell budget ({budget})"
@@ -310,7 +311,7 @@ def table_delta(tables: DpTables, n: int, s: int) -> Cost:
 
 def cmd_cost(args, limits) -> int:
     value, split = _cell(args.n, args.s, limits.cell_budget)
-    print(f"F({args.n},{args.s}) = {format_cost(value)}")
+    print(f"F({args.n},{args.s}) = {value}")
     if value is not INFINITE and args.n >= 2:
         print(f"m({args.n},{args.s}) = {split}")
     return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE

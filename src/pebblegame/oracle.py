@@ -10,7 +10,7 @@ handler of the ``oracle`` command, the last function here, compares the two.
 from __future__ import annotations
 
 from . import dp
-from .cost import INFINITE, Cost, format_cost
+from .cost import INFINITE, Cost
 from .errors import EXIT_DISAGREE, EXIT_OK, EXIT_UNSOLVABLE, ResourceLimitError, _validate
 
 MAX_ORACLE_SQUARES = 20
@@ -123,7 +123,7 @@ def cmd_oracle(args, limits) -> int:
     else:
         witness, bfs = None, bfs_min_time(args.n, args.s)
     agree = bfs == dp_value
-    print(f"bfs={format_cost(bfs)} dp={format_cost(dp_value)} {'agree' if agree else 'disagree'}")
+    print(f"bfs={bfs} dp={dp_value} {'agree' if agree else 'disagree'}")
     if witness is not None:
         print(witness.to_text(), end="")
     if not agree:

@@ -204,8 +204,9 @@ class ReplayChecker:
     """Incremental legality checker; feed moves in order, one or a list at a time.
 
     Structural violations (double place, remove from empty, disabled move)
-    halt the replay because later board states would be meaningless.  A
-    budget overshoot is recorded but the replay continues, so the true peak
+    halt the replay because later board states would be meaningless.  The
+    budget is None (no limit) or S, checked after n by every command's S rule.
+    A budget overshoot is recorded but the replay continues, so the true peak
     is still reported.  The board maps each occupied square, and square 0, to the
     step it was pebbled at (0 for square 0, so that square 1 is enabled): up to
     INDEX_SQUARES squares a list of n + 2 slots, None where empty, and above, a
@@ -214,6 +215,8 @@ class ReplayChecker:
 
     def __init__(self, n: int, budget: int | None = None, initial: Iterable[int] = ()):
         _check_board(n)
+        if budget is not None:
+            _check_int("S", budget, 0)
         self.n = n
         self.budget = budget
         initial = dict.fromkeys(initial, 0)
@@ -452,6 +455,7 @@ def synthesize(n: int, s: int, *, max_moves: int | None = None) -> Strategy:
     longer than the cap is refused from that length, before any move is emitted."""
     cap = config.DEFAULT_MATERIALIZATION_CAP if max_moves is None else max_moves
     split, total = _play_splits(n, s, None)
+    _check_int("max_moves", cap)
     if total > cap:
         raise ResourceLimitError(
             f"play for n={n}, S={s} exceeds the materialization cap ({cap} moves)"
@@ -556,7 +560,6 @@ def cmd_verify(args, limits) -> int:
         source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
         with source as stream:
             checker = ReplayChecker(args.n, budget=args.s)
-            _check_int("S", args.s, 0)  # S after n, in the order every command checks them
             for chunk in _iter_chunks(stream, n=args.n):
                 if isinstance(chunk, list):
                     checker.feed_signed(chunk)

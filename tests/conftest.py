@@ -71,6 +71,36 @@ def naive_reference():
 
 
 @pytest.fixture(scope="session")
+def slope_counts():
+    """N_S(d), the number of n with slope d_S(n) = F(n+1, S) - F(n, S) at most d, by a
+    recursion in slope space: no layer is merged and no F is summed.
+
+    N_1 is 0, as layer 1 has no finite slope, N_S(d) is 0 for d < 2, and else
+
+        N_S(d) = min(2**(S-1) - 1, 1 + N_{S-1}(d) + max over even 2 <= u <= d-2
+                                                    of min(N_S(u), N_{S-1}(d-u))):
+
+    the first slope d_S(1) = 2, the slopes d_{S-1}(j) at most d, and the slopes
+    d_S(m) + d_{S-1}(m) at most d.  Both terms of the last rise with m, so their
+    count is the most m whose terms fit under some even split u of d.  The cap is
+    the 2**(S-1) - 1 finite slopes.  Returns ``counts(smax, dmax)``, the lists
+    N_S(0..dmax) for S = 1..smax.
+    """
+
+    def counts(smax, dmax):
+        rows = [[0] * (dmax + 1)]
+        for s in range(2, smax + 1):
+            below, row = rows[-1], [0] * (dmax + 1)
+            for d in range(2, dmax + 1):
+                g = max((min(row[u], below[d - u]) for u in range(2, d - 1, 2)), default=0)
+                row[d] = min(2 ** (s - 1) - 1, 1 + below[d] + g)
+            rows.append(row)
+        return rows
+
+    return counts
+
+
+@pytest.fixture(scope="session")
 def pairwise_nesting():
     """Intervals of square i contained in an interval of square i+1, found pairwise.
 

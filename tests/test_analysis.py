@@ -284,6 +284,11 @@ def test_min_ts_validation():
     for bad in (0, -1, True, 2.0):
         with pytest.raises(ValueError):
             min_ts_auto(bad)
+    for budget in (True, 100.0, "x"):
+        with pytest.raises(ValueError, match=rf"^cell_budget must be an integer, got {budget!r}$"):
+            min_ts_auto(10, cell_budget=budget)
+    with pytest.raises(ResourceLimitError, match=r"the cell budget is -1$"):
+        min_ts_auto(10, cell_budget=-1)
 
 
 def test_threshold_scan_matches_memo_delta(tables_100_20):

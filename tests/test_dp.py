@@ -1,5 +1,7 @@
 """Unit tests for the cost recursion, split points, and table construction."""
 
+import itertools
+
 import pytest
 
 from hypothesis import example, given, settings
@@ -264,6 +266,13 @@ def test_cell_budget_enforced():
         build_table(100, 100, cell_budget=99)
     with pytest.raises(ResourceLimitError):
         f_cost(10**7, 30, cell_budget=1000)
+    # A budget of 0 or below refuses every pass; one that is not an int is refused as such.
+    for budget in (0, -1):
+        with pytest.raises(ResourceLimitError, match=rf"cell budget \({budget}\)$"):
+            f_cost(5, 3, cell_budget=budget)
+    for budget in (True, 15.0, "x"):
+        with pytest.raises(ValueError, match=rf"^cell_budget must be an integer, got {budget!r}$"):
+            f_cost(5, 3, cell_budget=budget)
 
 
 @pytest.mark.parametrize("nmax, smax", [(300, 12), (5000, 14)])
@@ -439,6 +448,30 @@ def test_run_layer_edges(layers_2048_16):
         dp._marginal(small.cost, 4)  # F(5, 8) lies past the cut
     with pytest.raises(TableRangeError):
         x_threshold(1, 7, small)
+
+
+def test_layers_match_the_slope_counting_reference(slope_counts):
+    """Every layer S <= 16, whole, against the counts of a recursion in slope space
+    at every even d <= 400: its slope counts, its thresholds x(k, S) = 1 + N_S(2**k),
+    and F(n, S) rebuilt from the counts wherever every slope it sums is counted."""
+    from pebblegame.analysis import BEYOND_TABLE, x_threshold
+
+    dmax = 400
+    layers = list(dp._layers(2**15 + 1, 16, None))  # every threshold of S <= 16 is below nmax
+    for layer, counts in zip(layers, slope_counts(16, dmax)):
+        s, held = layer.s, dict(layer.runs)
+        assert list(itertools.accumulate(held.get(d, 0) for d in range(0, dmax + 1, 2))) == (
+            counts[::2]
+        ), s
+        for k in range(9):
+            x = x_threshold(k, s, layer)
+            assert x is not BEYOND_TABLE and x == 1 + counts[2**k], (k, s)
+        # F(n, S) is 1 plus the first n - 1 slopes, slope d taken N_S(d) - N_S(d-2) times.
+        slopes = (itertools.repeat(d, counts[d] - counts[d - 2]) for d in range(2, dmax + 1, 2))
+        rebuilt = list(itertools.accumulate(itertools.chain.from_iterable(slopes), initial=1))
+        assert rebuilt == list(itertools.islice(layer.costs(), len(rebuilt))), s
+        for n in sorted({1, len(rebuilt) // 2 + 1, len(rebuilt)}):
+            assert f_cost(n, s) == rebuilt[n - 1], (n, s)
 
 
 def test_merge_rejects_a_slope_that_falls():

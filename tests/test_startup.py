@@ -25,12 +25,12 @@ PLAY = "+1\n+2\n-1\n"
 # Every name dir(pebblegame) listed when the package imported all its
 # submodules up front, by the submodule that defines it, less the names
 # since removed (min_ts, parse_cost, f_gamma, place, remove, format_moves,
-# parse_moves, threshold_record, ThresholdRecord).
+# parse_moves, threshold_record, ThresholdRecord, format_cost).
 PUBLIC_NAMES = {
     "analysis": """BEYOND_TABLE FGammaRow TsRecord entropy f_bound_lower_sum
         f_bound_upper_sum f_gamma_report min_ts_auto x_lower x_threshold x_upper""",
     "config": "",
-    "cost": "INFINITE MAX_FINITE_COST Cost format_cost",
+    "cost": "INFINITE MAX_FINITE_COST Cost",
     "dp": "DpTables build_table delta f_cost is_solvable split_point table_delta",
     "errors": "CostOverflowError ResourceLimitError TableRangeError UnsolvableError",
     "oracle": "bfs_min_time bfs_path",

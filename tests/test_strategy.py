@@ -127,6 +127,11 @@ def test_synthesize_materialization_cap():
     assert synthesize(8, 4, max_moves=25).step_count == 25
     with pytest.raises(ResourceLimitError):
         synthesize(8, 4, max_moves=24)
+    with pytest.raises(ResourceLimitError, match=r"\(-1 moves\)$"):
+        synthesize(4, 3, max_moves=-1)
+    for cap in (True, 9.5, "x"):
+        with pytest.raises(ValueError, match=rf"^max_moves must be an integer, got {cap!r}$"):
+            synthesize(4, 3, max_moves=cap)
 
 
 def test_synthesize_refuses_before_emitting(monkeypatch):
@@ -139,8 +144,9 @@ def test_synthesize_refuses_before_emitting(monkeypatch):
     message = "play for n=1048576, S=21 exceeds the materialization cap (2000000 moves)"
     with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
         synthesize(2**20, 21)
-    with pytest.raises(UnsolvableError, match=r"^n=5 needs more than S=3 pebbles"):
-        synthesize(5, 3, max_moves=0)
+    for cap in (0, "x"):
+        with pytest.raises(UnsolvableError, match=r"^n=5 needs more than S=3 pebbles"):
+            synthesize(5, 3, max_moves=cap)
     with pytest.raises(ResourceLimitError, match=r"^play for n=8, S=4 exceeds .* \(24 moves\)$"):
         synthesize(8, 4, max_moves=24)
 
@@ -403,6 +409,19 @@ def test_replay_checker_rejects_a_board_it_cannot_hold():
     for initial in ({0}, {5}, {1, 5}, {-1}):
         with pytest.raises(ValueError, match=r"^initial pebbles outside the board$"):
             ReplayChecker(4, initial=initial)
+    # One S rule for every replay: a budget is None or an int (not a bool) >= 0,
+    # checked after the board.
+    play = synthesize(4, 3)
+    for budget in (3.5, True, "x", -1):
+        message = rf"^S must be an integer >= 0, got {re.escape(repr(budget))}$"
+        with pytest.raises(ValueError, match=message):
+            ReplayChecker(4, budget)
+        with pytest.raises(ValueError, match=message):
+            verify(play, budget)
+    with pytest.raises(ValueError, match=r"^board size must be >= 1, got 0$"):
+        ReplayChecker(0, -1)
+    for budget, valid in ((None, True), (0, False), (3, True)):
+        assert verify(play, budget) == (valid, 9, 3, None if valid else (1, "budget"))
 
 
 def test_verify_add_rule():
@@ -576,7 +595,7 @@ def signed_plays(draw):
     """
     n = draw(st.integers(min_value=1, max_value=6))
     initial = draw(st.frozensets(st.integers(min_value=1, max_value=n)))
-    budget = draw(st.sampled_from([None, -1, 0, 1, 2, 3]))
+    budget = draw(st.sampled_from([None, 0, 1, 2, 3]))
     board = set(initial)
     values = []
     kinds = st.sampled_from(["legal"] * 50 + ["any"] * 9 + ["off"])
