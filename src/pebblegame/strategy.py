@@ -37,9 +37,9 @@ RULE_BUDGET = "budget"
 CHUNK = 8192
 # In one play, subgames of at most MEMO_SQUARES squares are copied from a memo that
 # holds at most MEMO_CAP signed squares.  Boards of at most LINE_SQUARES squares are
-# written and read through a table of lines, and of at most INDEX_SQUARES replayed on a list.
+# written and read through a table of lines.
 MEMO_SQUARES, MEMO_CAP = 128, 1 << 18
-LINE_SQUARES, INDEX_SQUARES = 1 << 16, 1 << 20
+LINE_SQUARES = 1 << 16
 # A block of moves the parser may read by int() alone: each line a sign and a square of
 # ASCII digits with no leading zero, "\n" or "\r\n" ended.
 _PLAIN = re.compile(r"(?:[+-][1-9][0-9]*\r?\n)*")
@@ -207,10 +207,10 @@ class ReplayChecker:
     halt the replay because later board states would be meaningless.  The
     budget is None (no limit) or S, checked after n by every command's S rule.
     A budget overshoot is recorded but the replay continues, so the true peak
-    is still reported.  The board maps each occupied square, and square 0, to the
-    step it was pebbled at (0 for square 0, so that square 1 is enabled): up to
-    INDEX_SQUARES squares a list of n + 2 slots, None where empty, and above, a
-    dict, so memory is O(pebbles) whatever the size.
+    is still reported.  The board is a list, from square 0 up, of the step each
+    square was pebbled at (0 for square 0, so that square 1 is enabled; None where
+    empty).  It ends at the highest initial pebble; a legal place just past its end
+    doubles it, to at most n + 1 slots and twice the highest square pebbled, plus one.
     """
 
     def __init__(self, n: int, budget: int | None = None, initial: Iterable[int] = ()):
@@ -220,11 +220,11 @@ class ReplayChecker:
         self.n = n
         self.budget = budget
         initial = dict.fromkeys(initial, 0)
-        if any(not 1 <= i <= n for i in initial):
-            raise ValueError("initial pebbles outside the board")
-        self._indexed = n <= INDEX_SQUARES
-        self._starts = [None] * (n + 2) if self._indexed else {}
-        self._starts[0] = 0
+        for i in initial:
+            _check_int("initial square", i)
+            if not 1 <= i <= n:
+                raise ValueError("initial pebbles outside the board")
+        self._starts = [0] + [None] * max(initial, default=0)
         for i in initial:
             self._starts[i] = 0
         self._pebbles = self.peak = len(initial)
@@ -239,8 +239,7 @@ class ReplayChecker:
 
     def _occupied(self) -> dict:
         """Each occupied square, mapped to the step it was pebbled at."""
-        pairs = enumerate(self._starts) if self._indexed else self._starts.items()
-        return {i: start for i, start in pairs if i and start is not None}
+        return {i: start for i, start in enumerate(self._starts) if i and start is not None}
 
     def feed(self, move: Move) -> Optional[tuple]:
         """Apply one move; return the closed interval (start, end) of a remove, else None.
@@ -260,11 +259,11 @@ class ReplayChecker:
         Each remove appends ``(square, (start, end))`` to ``closed``, when given.
         A square outside the board raises ValueError, even after a halt; the
         moves before it stay applied.  This is the package's one replay loop:
-        its state lives in locals, written back when the loop ends or raises.  A
-        list board and a dict board differ only in how a square is read and cleared.
+        its state lives in locals, written back when the loop ends or raises.  Only
+        a move past the board list's end asks more: off the board, or empty below.
         """
         n = self.n
-        board, indexed = self._starts, self._indexed
+        board, end = self._starts, len(self._starts)
         step, peak, size = self.steps, self.peak, self._pebbles
         violation, rule = self.first_violation, None
         # No square beyond n exists, so n pebbles are never over the limit.
@@ -274,12 +273,16 @@ class ReplayChecker:
             if self.halt is None:
                 for step, value in enumerate(values, step + 1):
                     if value > 0:
-                        if value > n:
-                            break
-                        if board[value] is not None if indexed else value in board:
+                        if value >= end:
+                            if value > end or value > n or board[end - 1] is None:
+                                rule = RULE_ADD if value <= n else None  # or off the board
+                                break
+                            board += [None] * min(end, n + 1 - end)
+                            end = len(board)
+                        if board[value] is not None:
                             rule = RULE_OCCUPANCY
                             break
-                        if board[value - 1] is None if indexed else value - 1 not in board:
+                        if board[value - 1] is None:
                             rule = RULE_ADD
                             break
                         board[value] = step
@@ -290,19 +293,17 @@ class ReplayChecker:
                             violation, limit = (step, RULE_BUDGET), n
                     else:
                         i = -value
-                        if not 0 < i <= n:
+                        if not 0 < i < end:
+                            rule = RULE_OCCUPANCY if 0 < i <= n else None  # past the list, empty
                             break
-                        start = board[i] if indexed else board.get(i)
+                        start = board[i]
                         if start is None:
                             rule = RULE_OCCUPANCY
                             break
-                        if board[i - 1] is None if indexed else i - 1 not in board:
+                        if board[i - 1] is None:
                             rule = RULE_REMOVE
                             break
-                        if indexed:
-                            board[i] = None
-                        else:
-                            del board[i]
+                        board[i] = None
                         size -= 1
                         if closed is not None:
                             closed.append((i, (start, step - 1)))
@@ -536,8 +537,7 @@ def cmd_strategy(args, limits) -> int:
             f"interval view needs {total} moves materialized; cap is "
             f"{limits.materialization_cap} (the moves format streams instead)"
         )
-    replays = args.verify or args.emit == "intervals"  # else no board (up to 8 MB) is made
-    checker = ReplayChecker(n, budget=s) if replays else None
+    checker = ReplayChecker(n, budget=s)
     chunks = _emit(n, s, split)
     if args.emit == "intervals":
         print(_replay_intervals(checker, chunks).to_text(), end="")

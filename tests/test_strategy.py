@@ -7,7 +7,6 @@ import re
 import sys
 import time
 import tracemalloc
-import unittest.mock
 
 import pytest
 from hypothesis import given, settings
@@ -409,6 +408,11 @@ def test_replay_checker_rejects_a_board_it_cannot_hold():
     for initial in ({0}, {5}, {1, 5}, {-1}):
         with pytest.raises(ValueError, match=r"^initial pebbles outside the board$"):
             ReplayChecker(4, initial=initial)
+    # An initial square is an int, not a bool, whatever the board's size.
+    for n, square in ((4, True), (4, 1.0), (4, "1"), (2**21, 1.0), (2**21, True)):
+        message = rf"^initial square must be an integer, got {re.escape(repr(square))}$"
+        with pytest.raises(ValueError, match=message):
+            ReplayChecker(n, initial={square})
     # One S rule for every replay: a budget is None or an int (not a bool) >= 0,
     # checked after the board.
     play = synthesize(4, 3)
@@ -428,6 +432,10 @@ def test_verify_add_rule():
     report = verify(Strategy(2, (Move(True, 2),)), 2)
     assert not report.valid
     assert report.first_violation == (1, "add")
+    # Past the highest square reached, on a board far longer than the replay's list:
+    # two squares past it, and one past it where the list first grows.
+    assert verify(play("+1\n+3\n", 10**12), 3).first_violation == (2, "add")
+    assert verify(play("+1\n+2\n+4\n", 10**12), 3).first_violation == (3, "add")
 
 
 def test_verify_budget_rule():
@@ -442,6 +450,10 @@ def test_verify_occupancy_rules():
     assert report.first_violation == (2, "occupancy")
     report = verify(play("-1\n", 2), 2)
     assert report.first_violation == (1, "occupancy")
+    # Removes past the highest square reached, up to the last square of the board.
+    for last in ("-3", f"-{10**12}"):
+        report = verify(play(f"+1\n{last}\n", 10**12), 3)
+        assert report.first_violation == (2, "occupancy")
 
 
 def test_verify_remove_rule():
@@ -458,26 +470,17 @@ def test_verify_final_configuration():
     assert report.first_violation == (2, "final")
 
 
-def _on_both_boards(call):
-    """``call()`` with the board a list, as it is up to INDEX_SQUARES, then a dict."""
-    listed = call()
-    with unittest.mock.patch.object(strategy, "INDEX_SQUARES", 0):
-        return listed, call()
-
-
 def test_verify_keeps_a_play_with_a_wasted_interval_valid(pairwise_nesting):
     # Square 1 is re-pebbled and dropped while square 2 rests: wasted work, but legal.
     strat = play("+1\n+2\n-1\n+1\n-1\n", 2)
     assert pairwise_nesting(to_intervals(strat)) == ((1, (4, 4)),)
-    listed, keyed = _on_both_boards(lambda: verify(strat, 2))
-    assert listed == keyed == (True, 5, 2, None)
+    assert verify(strat, 2) == (True, 5, 2, None)
 
 
 def test_nesting_with_open_intervals(pairwise_nesting):
     strat = play("+1\n+2\n-1\n+1\n", 2)
     assert pairwise_nesting(to_intervals(strat)) == ((1, (4, None)),)
-    listed, keyed = _on_both_boards(lambda: verify(strat, 2))
-    assert listed == keyed == (False, 4, 2, (4, "final"))  # final board is {1, 2}
+    assert verify(strat, 2) == (False, 4, 2, (4, "final"))  # final board is {1, 2}
 
 
 def test_interval_view_example():
@@ -633,14 +636,6 @@ def test_replay_core_matches_reference(reference_replay, case):
     _check_replay_core(reference_replay, *case)
 
 
-@settings(max_examples=400, derandomize=True)
-@given(signed_plays())
-def test_replay_core_matches_reference_on_a_dict_board(reference_replay, case):
-    # Every board of the cases is past an index bound of 0, so it is a dict.
-    with unittest.mock.patch.object(strategy, "INDEX_SQUARES", 0):
-        _check_replay_core(reference_replay, *case)
-
-
 def _check_replay_core(reference_replay, n, budget, initial, values, cuts):
     reference = reference_replay(n, budget, initial)
 
@@ -688,13 +683,14 @@ def _check_replay_core(reference_replay, n, budget, initial, values, cuts):
 
 def _replay_at_the_top(n):
     """Outcomes of replays on the top squares of an n-square board: a legal play from
-    pebbles on n - 3 and n - 2, its report and intervals, then a halt in mid-chunk,
-    the report after it, and a square off the board after the halt."""
+    pebbles on n - 3 and n - 2, its intervals, the length of its board list and its
+    report, then a halt in mid-chunk, the report after it, and a square off the board
+    after the halt."""
     initial = {n - 3, n - 2}
     legal = [n - 1, n, -(n - 1), n - 1, -n, -(n - 1), -(n - 2), n - 2]
     checker = ReplayChecker(n, budget=3, initial=initial)
     intervals = strategy._replay_intervals(checker, [legal[:3], legal[3:]])
-    outcomes = [checker._indexed, intervals, checker.finish(frozenset(initial))]
+    outcomes = [intervals, len(checker._starts), checker.finish(frozenset(initial))]
     checker, closed = ReplayChecker(n, initial=initial), []
     checker.feed_signed(legal + [n - 1, n - 1, -n, 5], closed)
     outcomes += [_replay_state(checker, closed), checker.finish(frozenset({n}))]
@@ -703,16 +699,10 @@ def _replay_at_the_top(n):
     return outcomes
 
 
-@pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
-def test_list_and_dict_boards_replay_alike_at_the_index_bound(monkeypatch, past):
-    n = strategy.INDEX_SQUARES + past
-    default = _replay_at_the_top(n)
-    assert default[0] == (not past)  # a list up to the bound, a dict past it
-    monkeypatch.setattr(strategy, "INDEX_SQUARES", n - 1 if not past else n)
-    other = _replay_at_the_top(n)
-    assert other[0] == bool(past)
-    assert other[1:] == default[1:]
-    intervals, report, state, halted = default[1:5]
+@pytest.mark.parametrize("n", [1 << 20, (1 << 20) + 1])
+def test_replay_at_the_top_of_a_large_board(n):
+    intervals, slots, report, state, halted, placed, removed = _replay_at_the_top(n)
+    assert slots == n + 1  # from n - 1 slots, the first growth stops at the board's end
     assert intervals.squares[n - 4:] == (
         ((0, None),), ((0, 6), (8, None)), ((1, 2), (4, 5)), ((2, 4),)
     )
@@ -720,11 +710,11 @@ def test_list_and_dict_boards_replay_alike_at_the_index_bound(monkeypatch, past)
     assert state[:4] == (12, 4, (10, "occupancy"), True)
     assert state[5] == {n - 3: 0, n - 2: 8, n - 1: 9}
     assert halted == (False, 12, 4, (10, "occupancy"))
-    assert default[5] == (
+    assert placed == (
         ValueError,
         f"move +{n + 1} references a square outside the {n}-square board",
     )
-    assert default[6] == (
+    assert removed == (
         ValueError,
         f"move -{n + 1} references a square outside the {n}-square board",
     )
@@ -737,6 +727,15 @@ def test_feed_keeps_the_sign_of_square_zero():
     with pytest.raises(ValueError, match=r"^move \+0 references a square outside the 3-square board$"):
         checker.feed_signed([0])
     assert checker.steps == 0
+    # The same messages once the board list has grown to its end, and for squares
+    # past n, both with the list grown and with the list far short of n.
+    for n, legal, value in ((3, [1, 2, 3], 0), (3, [1, 2, 3], 4), (3, [1, 2, 3], -4),
+                            (10**12, [1], 10**12 + 1), (10**12, [1], -(10**12) - 1)):
+        checker = ReplayChecker(n)
+        message = f"move {value:+d} references a square outside the {n}-square board"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            checker.feed_signed([*legal, value])
+        assert checker.steps == len(legal)
 
 
 def test_feed_cuts_the_quote_of_a_long_square():
