@@ -317,8 +317,8 @@ def cmd_cost(args, limits) -> int:
     return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE
 
 
-# Rows of `table` formatted and written at a time.
-TABLE_BLOCK = 2048
+# Cells of `table` formatted and written at a time.
+TABLE_CELLS = 1 << 16
 
 
 def cmd_table(args, limits) -> int:
@@ -328,9 +328,8 @@ def cmd_table(args, limits) -> int:
     in row n the "inf" columns are the prefix S = 1..k, and that prefix is
     the same in every row of the band top(k) < n <= top(k+1), with top(0) = 0
     and top(smax+1) = nmax.  A band with rows gets one line with those cells
-    written in, and only the finite layers' costs are formatted into it,
-    TABLE_BLOCK rows per write; a band between equal tops has no rows and no
-    line.  The prefix holds only while tops never fall with S, which is checked.
+    written in, into which its rows' finite costs are formatted one by one.
+    The prefix holds only while tops never fall with S, which is checked.
     """
     nmax = args.nmax
     layers = list(_layers(nmax, args.smax, limits.cell_budget))
@@ -348,11 +347,12 @@ def cmd_table(args, limits) -> int:
     infinite = ["inf".rjust(width) for width in widths[1:]]
     print(sep.join(map(str.rjust, header, widths)))
     costs = [layer.costs() for layer in layers]
+    per_block = max(1, TABLE_CELLS // len(header))
     for k, (top, last) in enumerate(zip([0, *tops], [*tops, nmax])):  # band k: rows top+1..last
         if top == last:
             continue
         line = sep.join([cells[0], *infinite[:k], *cells[k + 1:]]) + "\n"
-        rows = zip(range(top + 1, last + 1), *costs[k:])
-        while block := tuple(itertools.islice(rows, TABLE_BLOCK)):
-            print(line * len(block) % tuple(itertools.chain.from_iterable(block)), end="")
+        rows = map(line.__mod__, zip(range(top + 1, last + 1), *costs[k:]))
+        while block := "".join(itertools.islice(rows, per_block)):
+            print(block, end="")
     return EXIT_OK

@@ -173,6 +173,7 @@ class Strategy(_StrategyFields):
         _check_board(n)
         moves = tuple(moves)
         for move in moves:
+            _check_int("square", move.square)
             if not 1 <= move.square <= n:
                 raise _off_board(*move, n)
         return super().__new__(cls, n, moves)
@@ -224,9 +225,7 @@ class ReplayChecker:
             _check_int("initial square", i)
             if not 1 <= i <= n:
                 raise ValueError("initial pebbles outside the board")
-        self._starts = [0] + [None] * max(initial, default=0)
-        for i in initial:
-            self._starts[i] = 0
+        self._starts = [0] + [initial.get(i) for i in range(1, max(initial, default=0) + 1)]
         self._pebbles = self.peak = len(initial)
         self.steps = 0
         self.first_violation: Optional[tuple] = None
@@ -246,11 +245,11 @@ class ReplayChecker:
 
         A square outside the board raises ValueError, even after a halt.
         """
-        i = move.square
-        if not 1 <= i <= self.n:
+        _check_int("square", move.square)
+        if not 1 <= move.square <= self.n:
             raise _off_board(*move, self.n)
         closed: list = []
-        self.feed_signed((i if move.place else -i,), closed)
+        self.feed_signed((move.square if move.place else -move.square,), closed)
         return closed[0][1] if closed else None
 
     def feed_signed(self, values: Iterable[int], closed: list | None = None) -> None:

@@ -1004,26 +1004,30 @@ os._exit(0)
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 @pytest.mark.parametrize(
-    "argv, cut_lines, bound_mb",
+    "argv, lines, cut, bound_mb",
     [
-        (("table", "100000", "24", "--format", "csv"), None, 40),
-        (("strategy", "1048576", "21"), 1_000_000, 40),
-        (("strategy", "16384", "15", "--verify"), None, 40),
-        (("strategy", "1048576", "21", "--verify"), 1_000_000, 40),
+        (("table", "100000", "24", "--format", "csv"), 100_001, False, 40),
+        # 8 million cells, written a bounded block of them at a time.
+        (("table", "2048", "4000", "--format", "csv"), 2_049, False, 40),
+        (("strategy", "1048576", "21"), 1_000_000, True, 40),
+        (("strategy", "16384", "15", "--verify"), 1_320_764, False, 40),
+        (("strategy", "1048576", "21", "--verify"), 1_000_000, True, 40),
         # One list slot, and one step number, per square of the ladder's board.
-        (("strategy", "2000000", "2000000", "--verify"), None, 128),
+        (("strategy", "2000000", "2000000", "--verify"), 4_000_000, False, 128),
     ],
     ids=[
         "table 100000 24 --format csv",
+        "table 2048 4000 --format csv",
         "strategy 1048576 21 | head -1000000",
         "strategy 16384 15 --verify",
         "strategy 1048576 21 --verify | head -1000000",
         "strategy 2000000 2000000 --verify",
     ],
 )
-def test_peak_memory_of_large_runs(argv, cut_lines, bound_mb):
-    # VmHWM is the child's own peak; ru_maxrss of a child started by
-    # subprocess can carry the parent's high-water mark.
+def test_peak_memory_of_large_runs(argv, lines, cut, bound_mb):
+    # A cut run is read for its first `lines` lines, a whole one to its end, which
+    # has `lines` lines.  VmHWM is the child's own peak; ru_maxrss of a child
+    # started by subprocess can carry the parent's high-water mark.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with subprocess.Popen(
@@ -1032,13 +1036,13 @@ def test_peak_memory_of_large_runs(argv, cut_lines, bound_mb):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as child:
-        lines = 0
-        while (cut_lines is None or lines < cut_lines) and (block := child.stdout.read(1 << 16)):
-            lines += block.count(b"\n")
+        read = 0
+        while (not cut or read < lines) and (block := child.stdout.read(1 << 16)):
+            read += block.count(b"\n")
         child.stdout.close()
         err = child.stderr.read().decode()
         assert child.wait(timeout=120) == 0, err
-    assert lines >= (cut_lines or 100_001)
+    assert read >= lines if cut else read == lines
     summary = err.splitlines()[-1]
     code, hwm_kb = (int(field.split("=")[1]) for field in summary.split())
     assert code == 0, err

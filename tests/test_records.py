@@ -2,6 +2,7 @@
 equality and hash as before, no attribute assignment, and unpacking."""
 
 import math
+import re
 
 import pytest
 
@@ -105,6 +106,12 @@ def test_strategy_converts_moves_and_keeps_its_checks():
         match=r"^move \+3 references a square outside the 2-square board$",
     ):
         Strategy(2, [Move(True, 1), Move(True, 3)])
+    # A square is an int, not a bool, checked before its range: a bool was written
+    # as "+1", and a float was kept until the replay indexed the board with it.
+    for moves in ([Move(True, True)], [Move(True, 1), Move(True, 2.0)], [Move(False, 1e50)]):
+        message = rf"^square must be an integer, got {re.escape(repr(moves[-1].square))}$"
+        with pytest.raises(ValueError, match=message):
+            Strategy(3, moves)
     with pytest.raises(TypeError):
         Strategy(2)
     # The peak is a replay on each access, not an attribute that can be set.

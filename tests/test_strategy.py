@@ -748,6 +748,18 @@ def test_feed_cuts_the_quote_of_a_long_square():
     assert checker.steps == 0
 
 
+def test_feed_refuses_a_square_that_is_not_an_int():
+    """A fed square is an int, not a bool, checked before its range: a float square
+    once reached the board list as an index and raised TypeError."""
+    checker = ReplayChecker(3)
+    checker.feed(Move(True, 1))
+    for square in (1.0, 2.0, True, 1e50, "2", None):
+        message = rf"^square must be an integer, got {re.escape(repr(square))}$"
+        with pytest.raises(ValueError, match=message):
+            checker.feed(Move(True, square))
+    assert (checker.steps, set(checker.board)) == (1, {1})
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_off_board_quote_of_a_square_past_the_int_digit_limit(sign):
     # 5,001 digits: more than str() formats under the default limit of 4,300.

@@ -4,7 +4,7 @@
 from one line in which the "inf" cells of columns 1..k are already written,
 and formats only the finite cells.  ``reference_table`` is the writer it
 replaced: it pads each layer with INFINITE past its top and formats every
-cell with %s.
+cell with %s, one row at a time.
 """
 
 import contextlib
@@ -21,7 +21,6 @@ import pebblegame
 from pebblegame import dp
 from pebblegame.cli import main
 from pebblegame.cost import INFINITE, InfiniteCost
-from pebblegame.dp import TABLE_BLOCK
 
 FORMATS = ("plain", "csv", "tsv")
 
@@ -43,10 +42,7 @@ def reference_table(nmax: int, smax: int, fmt: str) -> str:
         for layer in layers
     ]
     rows = zip(itertools.count(1), *columns)
-    text = [line % tuple(header)]
-    while block := list(itertools.islice(rows, TABLE_BLOCK)):
-        text.append(line * len(block) % tuple(itertools.chain.from_iterable(block)))
-    return "".join(text)
+    return "".join([line % tuple(header), *(line % row for row in rows)])
 
 
 def table(nmax: int, smax: int, fmt: str) -> tuple:
@@ -59,8 +55,8 @@ def table(nmax: int, smax: int, fmt: str) -> tuple:
 
 # nmax is 1 or 2**k - 1, 2**k, 2**k + 1 for k <= 13, each with smax from 1 to
 # log2(nmax) + 2: the last smax leave no "inf" band below row nmax, and small
-# smax an all-"inf" tail.  Band edges fall inside the first 2,048-row block,
-# and from nmax = 4097 on a band spans more than one block.
+# smax an all-"inf" tail.  `table` writes 65,536 cells, or at least one row, at
+# a time, so every band here fits in one write; the cases below split bands.
 BOARDS = sorted({1} | {2**k + d for k in range(1, 14) for d in (-1, 0, 1)})
 
 
@@ -73,9 +69,12 @@ def test_table_matches_the_every_cell_writer(nmax):
 @pytest.mark.parametrize(
     "nmax, smax",
     [
-        (5000, 3),  # 4,996 rows of "inf" only, over three blocks
-        (6000, 14),  # the last band, 4097..6000, starts and ends inside a block
-        (10000, 15),  # 4097..8192 fills blocks 3 and 4; 8193..10000 is finite at S=15 only
+        (5000, 3),  # 4,996 rows of "inf" only
+        (6000, 14),  # the last band, 4097..6000, is finite at S=14 only
+        (10000, 15),  # 4097..8192, then 8193..10000, finite at S=15 only
+        (3, 70000),  # more columns than a write holds: one row per write
+        (9000, 20),  # 3,120 rows a write: 4097..8192 takes two, 2049..4096 one
+        (20000, 40),  # 1,598 rows a write: 8193..16384 takes six
     ],
 )
 @pytest.mark.parametrize("fmt", FORMATS)
