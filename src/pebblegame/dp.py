@@ -31,8 +31,9 @@ and the least split a prefix count over the runs of the merge order.
 ``Layer`` is the one reader of the runs; its ``costs`` and ``splits`` read only
 the finite part, n <= top, and ``build_table`` pads them with INFINITE and 0
 into tables.  A split of 0 means none is defined; only ``split_point`` says
-None.  ``f_cost``, ``split_point`` and ``delta`` each run one pass of S layers
-cut at the queried board.  The tests check the layers against a plain recursion.
+None.  ``f_cost``, ``split_point`` and ``delta`` give INFINITE past 2**(S-1) and
+2n - 1 where S >= n with no layer or budget, else one pass of S layers cut at the
+queried board.  The tests check the layers against a plain recursion.
 The handlers of the ``cost`` and ``table`` commands are the last functions here.
 """
 
@@ -245,13 +246,14 @@ def _ladder(n: int) -> int:
 
 
 def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
-    """F(n, s) and its least split (0 where undefined) from one layer pass.
-
-    Where s >= n no budget binds, and the answer is the ladder with split 1:
-    a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1).
+    """F(n, s) and its least split (0 where undefined), once n, S and the budget's type
+    are checked: INFINITE past n = 2**(s-1), S = 0 included; where s >= n the ladder,
+    with split 1, as a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1);
+    else from one layer pass, the only case that the budget binds.
     """
     _validate(n, s)
-    if s == 0:
+    _check_int("cell_budget", config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget)
+    if not is_solvable(n, s):
         return INFINITE, 0
     if s >= n:
         return _ladder(n), 1 if n > 1 else 0
@@ -260,8 +262,8 @@ def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
 
 
 def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """F(n, s) from one pass over s run layers cut at n, or 2n - 1 at once where
-    s >= n.  S = 0 yields INFINITE."""
+    """F(n, s): INFINITE past n = 2**(s-1), 2n - 1 where s >= n, else from one pass
+    over s run layers cut at n."""
     return _cell(n, s, cell_budget)[0]
 
 
@@ -271,11 +273,14 @@ def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None
 
 
 def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """Marginal cost of one more square: F(n+1, s) - F(n, s), 0 for n <= 0."""
+    """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for n >= 2**(s-1)."""
     _check_int("n", n)
     _check_int("S", s, 1)
+    _check_int("cell_budget", config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget)
     if s > n:
         return _marginal(_ladder, n)
+    if not is_solvable(n + 1, s):
+        return INFINITE
     return _marginal(_last_layer(n + 1, s, cell_budget).cost, n)
 
 

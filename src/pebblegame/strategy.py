@@ -255,6 +255,7 @@ class ReplayChecker:
     def feed_signed(self, values: Iterable[int], closed: list | None = None) -> None:
         """Apply signed squares in order: ``i`` places a pebble on square i, ``-i`` removes it.
 
+        Values must be ints, not bools, as ``feed`` and ``Strategy`` check; this loop does not.
         Each remove appends ``(square, (start, end))`` to ``closed``, when given.
         A square outside the board raises ValueError, even after a halt; the
         moves before it stay applied.  This is the package's one replay loop:

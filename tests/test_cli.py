@@ -178,6 +178,26 @@ def test_ladder_beyond_the_cell_budget(capsys):
     assert "needs 10001 moves" in err
 
 
+def test_closed_form_cells_run_no_layer(capsys, monkeypatch):
+    """Unsolvable cells (n > 2**(S-1), S = 0 included) and ladder cells (S >= n) are
+    answered before any layer or budget: 10**7 x 19 cells exceed the default budget."""
+
+    def no_layers(*args):
+        raise AssertionError("a cell the closed forms settle runs no layer")
+
+    monkeypatch.setattr(dp, "_layers", no_layers)
+    assert dp.f_cost(10**7, 19) is INFINITE
+    assert dp.split_point(10**7, 19) is None
+    assert dp.delta(10**7, 19) is INFINITE
+    assert dp.delta(4, 3) is INFINITE  # F(5, 3) is infinite
+    assert (dp.f_cost(3, 0), dp.split_point(3, 0)) == (INFINITE, None)
+    assert (dp.f_cost(5001, 5001), dp.split_point(5001, 5001)) == (10001, 1)
+    assert dp.delta(10**6, 10**6 + 1) == 2
+    assert run(capsys, "cost", "10000000", "19") == (2, "F(10000000,19) = inf\n", "")
+    # The oracle's dp side is the same route: an unsolvable cell past the budget is searched.
+    assert run(capsys, "oracle", "8", "3", "--cell-budget", "1") == (2, "bfs=inf dp=inf agree\n", "")
+
+
 def test_strategy_unsolvable(capsys):
     code, out, err = run(capsys, "strategy", "5", "3")
     assert code == 2

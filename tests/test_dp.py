@@ -266,13 +266,22 @@ def test_cell_budget_enforced():
         build_table(100, 100, cell_budget=99)
     with pytest.raises(ResourceLimitError):
         f_cost(10**7, 30, cell_budget=1000)
-    # A budget of 0 or below refuses every pass; one that is not an int is refused as such.
+    # A budget of 0 or below refuses every pass, on a solvable cell with S < n, the
+    # only kind that needs one; a budget that is not an int is refused on every route,
+    # also where no pass runs (an unsolvable cell, a ladder, S = 0, a delta with S > n).
     for budget in (0, -1):
         with pytest.raises(ResourceLimitError, match=rf"cell budget \({budget}\)$"):
-            f_cost(5, 3, cell_budget=budget)
+            f_cost(4, 3, cell_budget=budget)
     for budget in (True, 15.0, "x"):
         with pytest.raises(ValueError, match=rf"^cell_budget must be an integer, got {budget!r}$"):
             f_cost(5, 3, cell_budget=budget)
+    for route, n, s, budget in (
+        (f_cost, 5001, 5001, "x"),
+        (f_cost, 5, 0, 1.5),
+        (delta, 10**6, 10**6 + 1, True),
+    ):
+        with pytest.raises(ValueError, match=rf"^cell_budget must be an integer, got {budget!r}$"):
+            route(n, s, cell_budget=budget)
 
 
 @pytest.mark.parametrize("nmax, smax", [(300, 12), (5000, 14)])
