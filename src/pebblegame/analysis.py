@@ -1,6 +1,6 @@
 """Derived quantities: marginal-cost thresholds, binomial bounds, entropy, the
 normalized log-cost on a gamma grid (``f_gamma_report``) and the exact minimum
-time-space product.  A DpTables or a dp.Layer is read through ``layer(s)``.
+time-space product.  A DpTables or a runs.Layer is read through ``layer(s)``.
 
 All logarithms are base 2.  Binomial work uses exact integer arithmetic
 (math.comb), and each result passes the cost type's 64-bit cap check.  The handlers
@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import config, dp
+from . import config, runs
 from .cost import INFINITE, MAX_FINITE_COST, _checked
 from .errors import EXIT_OK, ResourceLimitError, TableRangeError, _check_int
+
+if TYPE_CHECKING:
+    from .dp import DpTables
 
 
 class BeyondTable:
@@ -51,11 +54,11 @@ class TsRecord(NamedTuple):
     ratio: float  # log2(product / n) / (2 * sqrt(log2 n)); nan for n = 1
 
 
-def x_threshold(k: int, s: int, tables: dp.DpTables | dp.Layer):
+def x_threshold(k: int, s: int, tables: DpTables | runs.Layer):
     """Least n with delta(n, s) > 2**k: the start of the first slope run above
     2**k, else the end of the finite part, whose delta is infinite.
 
-    ``tables`` is a DpTables or the dp.Layer for s.  Returns BEYOND_TABLE when
+    ``tables`` is a DpTables or the runs.Layer for s.  Returns BEYOND_TABLE when
     no n below the table's nmax witnesses the threshold.
     """
     _validate_ks(k, s, min_s=1)
@@ -124,9 +127,9 @@ class FGammaRow(NamedTuple):
     gap: float | None  # f(H(gamma), s) - (gamma + H(gamma))
 
 
-def f_gamma_report(s: int, tables: dp.DpTables | dp.Layer, gammas):
+def f_gamma_report(s: int, tables: DpTables | runs.Layer, gammas):
     """Yield f at H(gamma) for each gamma of a grid, one row at a time; points past
-    the layer's top carry None.  ``tables`` is a DpTables or the dp.Layer for s."""
+    the layer's top carry None.  ``tables`` is a DpTables or the runs.Layer for s."""
     layer = tables.layer(s)
     for gamma in gammas:
         h = entropy(gamma)
@@ -155,8 +158,8 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     smax = min(n, budget // n)
     s = s_start - 1  # every S <= s is unsolvable or scanned; S = s + 1 needs n * (s + 1) cells
     if smax >= s_start:  # else the budget refuses, before the ladder's cap check
-        floor_f, best = dp._ladder(n), (MAX_FINITE_COST + 1, 0, 0)  # best: (product, S, F)
-        for s, layer in itertools.islice(enumerate(dp._layers(n, smax, budget), 1), s, None):
+        floor_f, best = runs._ladder(n), (MAX_FINITE_COST + 1, 0, 0)  # best: (product, S, F)
+        for s, layer in itertools.islice(enumerate(runs._layers(n, smax, budget), 1), s, None):
             value = layer.cost(n)
             if value is INFINITE:
                 raise TableRangeError(f"F({n}, {s}) is infinite; solvability bound violated")
@@ -184,7 +187,7 @@ def cmd_bounds(args, limits) -> int:
         (f_bound_lower_sum(k, s), f_bound_upper_sum(k, s))
         for k in range(1, kmax + 1)
     ]
-    layer = dp._last_layer(nmax, s, limits.cell_budget)
+    layer = runs._last_layer(nmax, s, limits.cell_budget)
     header = [
         "k", "x_lower", "x", "x_upper",
         "lower_sum", "F_lower", "le_ok",
@@ -236,16 +239,16 @@ def cmd_fgamma(args, limits) -> int:
     def sizes(order):  # the board sizes at grid points, which rise with gamma
         return (_board_size(entropy(i / step), s) for i in order)
     try:  # so nmax is the first solvable one from the top
-        nmax = next((n for n in sizes(range(points, 0, -1)) if dp.is_solvable(n, s)), 1)
+        nmax = next((n for n in sizes(range(points, 0, -1)) if runs.is_solvable(n, s)), 1)
     except TableRangeError:  # past float range: a scan up names the least such gamma
         for _ in sizes(range(1, points + 1)):
             pass
         raise
-    layer = dp._last_layer(nmax, s, limits.cell_budget)
+    layer = runs._last_layer(nmax, s, limits.cell_budget)
     print("gamma H n f gap")
     for row in f_gamma_report(s, layer, (i / step for i in range(1, points + 1))):
         if row.f_value is None:
-            if dp.is_solvable(row.n, s):
+            if runs.is_solvable(row.n, s):
                 raise ArithmeticError(f"board {row.n} is solvable past nmax={nmax}: sizes fall")
             print(f"{row.gamma:.4f} {row.h:.6f} {row.n} - -")
         else:

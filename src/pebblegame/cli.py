@@ -1,9 +1,9 @@
 """Command-line interface: the COMMANDS table, its parser, usage and ``main``.
 
 A process reads its command line by the COMMANDS table, not argparse.  Each command's
-handler, ``cmd_<command>``, lives in the module whose engine it drives (``dp``,
-``strategy``, ``oracle`` or ``analysis``), and ``main`` imports that one module after
-the parse and the limits load, so that start-up stays small.  Exit codes are the
+handler, ``cmd_<command>``, lives in the module whose engine it drives (``dp``, ``play``,
+``strategy``, ``oracle`` or ``analysis``), and ``main`` imports that one module after the
+parse and the limits load, so that a process compiles only the code its command runs.  Exit codes are the
 contract of ``errors``.  Data goes to stdout, all of it through ``print``, so a closed
 stdout is treated as /dev/null, as a cut pipe is; diagnostics go to stderr, and
 identical invocations produce byte-identical output.  A handler that cannot answer
@@ -35,7 +35,7 @@ COMMANDS = {
     "table": ("dp", "full F table up to (nmax, smax)", ("nmax", "smax"), {
         "--format": (("plain", "csv", "tsv"), "plain", "row format (default plain)"),
     }),
-    "strategy": ("strategy", "emit an optimal play", ("n", "S"), {
+    "strategy": ("play", "emit an optimal play", ("n", "S"), {
         "--emit": (("moves", "intervals"), "moves", "what to print (default moves)"),
         "--verify": (bool, False, "append a replay summary line"),
     }),

@@ -1,0 +1,367 @@
+"""The play engine: emission and replay, all that a ``strategy`` process runs.
+
+A play travels as lists of signed squares (``+i`` as ``i``, ``-i`` as ``-i``), emitted
+``CHUNK`` at a time by one loop over a stack of subgames; a leaf is a ladder (S >= n) or
+a small subgame copied from a memo, and a subgame played backwards is its parts in
+reverse order, each backwards.  One replay core, ``ReplayChecker.feed_signed``, applies
+moves under the rule that square i may change only when i == 1 or square i-1 is
+occupied.  The handler of ``strategy`` is last; only a play's splits load ``runs``.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
+
+from .errors import EXIT_OK, ResourceLimitError, UnsolvableError, _check_int
+
+if TYPE_CHECKING:
+    from .strategy import Move
+
+# Rule identifiers used in verification reports.
+RULE_FINAL = "final"
+RULE_ADD = "add"
+RULE_REMOVE = "remove"
+RULE_OCCUPANCY = "occupancy"
+RULE_BUDGET = "budget"
+
+# Signed squares per list yielded by the emitter.
+CHUNK = 8192
+# In one play, subgames of at most MEMO_SQUARES squares are copied from a memo that
+# holds at most MEMO_CAP signed squares.  Boards of at most LINE_SQUARES squares are
+# written and read through a table of lines.
+MEMO_SQUARES, MEMO_CAP = 128, 1 << 18
+LINE_SQUARES = 1 << 16
+
+
+def _format_signed(values: list, lines: list | None = None) -> str:
+    """Signed squares as wire text: per square, the same bytes as ``f"{move}\\n"``,
+    looked up in ``lines`` (``_lines``) when given."""
+    if lines is None:
+        return "%+d\n" * len(values) % tuple(values)
+    return "".join(map(lines.__getitem__, values))
+
+
+def _lines(n: int) -> list | None:
+    """The line of each signed square v of an n-square board at index v (a remove's
+    counted from the end), or None where n > LINE_SQUARES."""
+    if n > LINE_SQUARES:
+        return None
+    return _format_signed([*range(n + 1), *range(-n, 0)]).splitlines(keepends=True)
+
+
+def _off_board(place: bool, square: int, n: int) -> ValueError:
+    """The error of a move off the board, quoting at most the square's leading digits."""
+    sign = ("+" if place else "-") + ("-" if square < 0 else "")
+    hidden = max(0, int(abs(square).bit_length() * 0.30103) - 60)  # trailing digits, never shown
+    text = f"{sign}{abs(square) // 10**hidden}"
+    shown = text if len(text) <= 40 else f"{text[:40]}..."
+    return ValueError(f"move {shown} references a square outside the {n}-square board")
+
+
+def _check_board(n) -> None:
+    """ValueError unless the board size n is an int (not a bool) of at least 1."""
+    _check_int("board size", n)
+    if n < 1:
+        raise ValueError(f"board size must be >= 1, got {n}")
+
+
+class VerificationReport(NamedTuple):
+    valid: bool
+    step_count: int
+    peak_pebbles: int
+    first_violation: Optional[tuple]  # (step, rule) or None
+
+
+class ReplayChecker:
+    """Incremental legality checker; feed moves in order, one or a list at a time.
+
+    Structural violations (double place, remove from empty, disabled move)
+    halt the replay because later board states would be meaningless.  The
+    budget is None (no limit) or S, checked after n by every command's S rule.
+    A budget overshoot is recorded but the replay continues, so the true peak
+    is still reported.  The board is a list, from square 0 up, of the step each
+    square was pebbled at (0 for square 0, so that square 1 is enabled; None where
+    empty).  It ends at the highest initial pebble; a legal place just past its end
+    doubles it, to at most n + 1 slots and twice the highest square pebbled, plus one.
+    """
+
+    def __init__(self, n: int, budget: int | None = None, initial: Iterable[int] = ()):
+        _check_board(n)
+        if budget is not None:
+            _check_int("S", budget, 0)
+        self.n = n
+        self.budget = budget
+        initial = dict.fromkeys(initial, 0)
+        for i in initial:
+            _check_int("initial square", i)
+            if not 1 <= i <= n:
+                raise ValueError("initial pebbles outside the board")
+        self._starts = [0] + [initial.get(i) for i in range(1, max(initial, default=0) + 1)]
+        self._pebbles = self.peak = len(initial)
+        self.steps = 0
+        self.first_violation: Optional[tuple] = None
+        self.halt: Optional[tuple] = None  # (step, rule) of the structural violation
+
+    @property
+    def board(self):
+        """The occupied squares, as a set-like view."""
+        return self._occupied().keys()
+
+    def _occupied(self) -> dict:
+        """Each occupied square, mapped to the step it was pebbled at."""
+        return {i: start for i, start in enumerate(self._starts) if i and start is not None}
+
+    def feed(self, move: Move) -> Optional[tuple]:
+        """Apply one move; return the closed interval (start, end) of a remove, else None.
+
+        A square outside the board raises ValueError, even after a halt.
+        """
+        _check_int("square", move.square)
+        if not 1 <= move.square <= self.n:
+            raise _off_board(*move, self.n)
+        closed: list = []
+        self.feed_signed((move.square if move.place else -move.square,), closed)
+        return closed[0][1] if closed else None
+
+    def feed_signed(self, values: Iterable[int], closed: list | None = None) -> None:
+        """Apply signed squares in order: ``i`` places a pebble on square i, ``-i`` removes it.
+
+        Values must be ints, not bools, as ``feed`` and ``Strategy`` check; this loop does not.
+        Each remove appends ``(square, (start, end))`` to ``closed``, when given.
+        A square outside the board raises ValueError, even after a halt; the
+        moves before it stay applied.  This is the package's one replay loop:
+        its state lives in locals, written back when the loop ends or raises.  Only
+        a move past the board list's end asks more: off the board, or empty below.
+        """
+        n = self.n
+        board, end = self._starts, len(self._starts)
+        step, peak, size = self.steps, self.peak, self._pebbles
+        violation, rule = self.first_violation, None
+        # No square beyond n exists, so n pebbles are never over the limit.
+        limit = n if self.budget is None or violation is not None else self.budget
+        values = iter(values)
+        try:
+            if self.halt is None:
+                for step, value in enumerate(values, step + 1):
+                    if value > 0:
+                        if value >= end:
+                            if value > end or value > n or board[end - 1] is None:
+                                rule = RULE_ADD if value <= n else None  # or off the board
+                                break
+                            board += [None] * min(end, n + 1 - end)
+                            end = len(board)
+                        if board[value] is not None:
+                            rule = RULE_OCCUPANCY
+                            break
+                        if board[value - 1] is None:
+                            rule = RULE_ADD
+                            break
+                        board[value] = step
+                        size += 1
+                        if size > peak:
+                            peak = size
+                        if size > limit:
+                            violation, limit = (step, RULE_BUDGET), n
+                    else:
+                        i = -value
+                        if not 0 < i < end:
+                            rule = RULE_OCCUPANCY if 0 < i <= n else None  # past the list, empty
+                            break
+                        start = board[i]
+                        if start is None:
+                            rule = RULE_OCCUPANCY
+                            break
+                        if board[i - 1] is None:
+                            rule = RULE_REMOVE
+                            break
+                        board[i] = None
+                        size -= 1
+                        if closed is not None:
+                            closed.append((i, (start, step - 1)))
+                else:
+                    return
+                if rule is None:
+                    step -= 1  # a move off the board is not a step
+                    raise _off_board(value >= 0, abs(value), n)
+                self.halt = (step, rule)
+                if violation is None:
+                    violation = self.halt
+            for step, value in enumerate(values, step + 1):  # after a halt, only the bounds
+                if not 0 < abs(value) <= n:
+                    step -= 1
+                    raise _off_board(value >= 0, abs(value), n)
+        finally:
+            self.steps, self.peak, self._pebbles = step, peak, size
+            self.first_violation = violation
+
+    def finish(self, expected: frozenset) -> VerificationReport:
+        """Check the final board against ``expected`` and return the report of the
+        whole replay."""
+        if self.halt is None and self.board != set(expected) and self.first_violation is None:
+            self.first_violation = (self.steps, RULE_FINAL)
+        return VerificationReport(
+            valid=self.first_violation is None
+            and (self.budget is None or self.peak <= self.budget),
+            step_count=self.steps,
+            peak_pebbles=self.peak,
+            first_violation=self.first_violation,
+        )
+
+
+def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
+    """The least split at every subgame of the (n, s) play with S < n, as a function
+    of (n, S), and F(n, s), the play's length; UnsolvableError if n > 2**(s-1).
+    Each split is ``Layer.split`` of the run layers cut at n, under the cell budget
+    of their table.  Where s >= n the play is one ladder, which asks no split."""
+    from .cost import INFINITE
+    from .runs import _layers, _settled
+
+    if settled := _settled(n, s):
+        if settled[0] is INFINITE:
+            raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
+        return None, settled[0]
+    layers = list(_layers(n, s, cell_budget))
+    return (lambda n, s: layers[s - 1].split(n)), layers[-1].cost(n)
+
+
+def _emit(n: int, s: int, split: Callable[[int, int], int] | None) -> Iterator[list]:
+    """The play as lists of ``CHUNK`` signed squares (the last may be shorter), from a
+    stack of (n, S, offset, backwards) subgames.  One of at most MEMO_SQUARES squares is
+    copied from the memo, shifted by its offset (+o on a place, -o on a remove), and
+    reversed with the signs swapped when backwards.  Any other, or one the memo has no
+    room for, is a ladder if S >= n, two ranges cut only where they overfill a chunk, or
+    has its three parts pushed, reversed for a forward play (first part on top) as for a
+    backwards one; the checked 1 <= m < n makes every part smaller, so the loop ends.
+    ``split(n, S)`` is asked once per (n, S) of the play with S < n."""
+    stack = [(n, s, 0, False)]
+    chunk: list = []
+    splits: dict = {}
+    memo: dict = {}  # (n, S) -> the forward subgame's signed squares at offset 0, or None
+    room = MEMO_CAP
+
+    def split_of(n, s):
+        try:
+            return splits[n, s]
+        except KeyError:
+            m = splits[n, s] = split(n, s)
+            if not 1 <= m < n:
+                raise UnsolvableError(f"no split for n={n}, S={s}") from None
+            return m
+
+    def shifted(moves, o, backwards):
+        if backwards:
+            return [o - v if v < 0 else -o - v for v in reversed(moves)]
+        return [v + o if v > 0 else v - o for v in moves] if o else moves
+
+    def played(n, s):  # by the same three-part rule, each part from the memo
+        nonlocal room
+        s = min(s, n)  # every S >= n plays the same ladder
+        if (n, s) not in memo:
+            if s >= n:
+                moves = [*range(1, n + 1), *range(1 - n, 0)]
+            else:
+                m = split_of(n, s)
+                first, middle, last = played(m, s), played(n - m, s - 1), played(m, s - 1)
+                moves = None if None in (first, middle, last) else [
+                    *first, *shifted(middle, m, False), *shifted(last, 0, True)
+                ]
+            fits = moves is not None and len(moves) <= room
+            memo[n, s] = moves if fits else None
+            room -= len(moves) if fits else 0
+        return memo[n, s]
+
+    while stack:
+        n, s, o, backwards = stack.pop()
+        moves = played(n, s) if n <= MEMO_SQUARES else None
+        if moves is not None:
+            parts = (shifted(moves, o, backwards),)
+        elif s >= n:  # place 1..n, lift n-1..1; backwards, place 1..n-1, lift n..1 (all + o)
+            forward = not backwards
+            parts = (range(o + 1, o + n + forward), range(forward - o - n, -o))
+        else:
+            m = split_of(n, s)
+            parts = (
+                (m, s, o, backwards),
+                (n - m, s - 1, o + m, backwards),
+                (m, s - 1, o, not backwards),
+            )
+            stack.extend(parts if backwards else reversed(parts))
+            continue
+        for part in parts:
+            while len(chunk) + len(part) >= CHUNK:
+                cut = CHUNK - len(chunk)
+                yield [*chunk, *part[:cut]]
+                chunk, part = [], part[cut:]
+            chunk += part
+    if chunk:
+        yield chunk
+
+
+class IntervalView(NamedTuple):
+    """Residence intervals per square over step indices.
+
+    ``squares[i - 1]`` lists the intervals of square i as (start, end) pairs
+    meaning the square is occupied after steps start..end, end being None for
+    the final interval that is never closed.
+    """
+
+    n: int
+    squares: tuple
+
+    def to_text(self) -> str:
+        lines = []
+        for index, intervals in enumerate(self.squares, 1):
+            parts = [
+                f"[{start},{end}]" if end is not None else f"[{start},)"
+                for start, end in intervals
+            ]
+            lines.append(f"s{index}: {' '.join(parts)}" if parts else f"s{index}:")
+        return "".join(line + "\n" for line in lines)
+
+
+def _replay_intervals(checker: ReplayChecker, chunks: Iterable[list]) -> IntervalView:
+    """``to_intervals`` of the signed-square lists ``chunks`` by ``checker``, whose
+    ``finish`` then gives the report."""
+    rows: list = [[] for _ in range(checker.n)]
+    closed: list = []
+    for chunk in chunks:
+        before = checker.steps
+        checker.feed_signed(chunk, closed)
+        if checker.halt is not None:
+            step, rule = checker.halt
+            move = chunk[step - before - 1]
+            raise ValueError(f"step {step}: move {move:+d} breaks the {rule} rule")
+        for i, interval in closed:
+            rows[i - 1].append(interval)
+        closed.clear()
+    for i, start in checker._occupied().items():
+        rows[i - 1].append((start, None))
+    return IntervalView(checker.n, tuple(tuple(row) for row in rows))
+
+
+def _summary_line(report) -> str:
+    valid = "true" if report.valid else "false"
+    return f"T={report.step_count} peak={report.peak_pebbles} valid={valid}"
+
+
+def cmd_strategy(args, limits) -> int:
+    n, s = args.n, args.s
+    split, total = _play_splits(n, s, limits.cell_budget)
+    if args.emit == "intervals" and total > limits.materialization_cap:
+        raise ResourceLimitError(
+            f"interval view needs {total} moves materialized; cap is "
+            f"{limits.materialization_cap} (the moves format streams instead)"
+        )
+    checker = ReplayChecker(n, budget=s)
+    chunks = _emit(n, s, split)
+    if args.emit == "intervals":
+        print(_replay_intervals(checker, chunks).to_text(), end="")
+    else:
+        lines = _lines(n)
+        for chunk in chunks:
+            print(_format_signed(chunk, lines), end="")
+            if args.verify:
+                checker.feed_signed(chunk)
+    if args.verify:
+        print(_summary_line(checker.finish(expected=frozenset({n}))))
+    return EXIT_OK

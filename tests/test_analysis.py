@@ -23,7 +23,7 @@ from pebblegame import (
     x_threshold,
     x_upper,
 )
-from pebblegame import dp
+from pebblegame import runs
 from pebblegame.analysis import BeyondTable
 
 
@@ -260,7 +260,7 @@ def test_min_ts_auto_runs_one_pass_to_the_certificate(monkeypatch):
     full = build_table(n, 128)
     s_cert = certifying_budget(full, n)
     passes, drawn = [], []
-    real_layers = dp._layers
+    real_layers = runs._layers
 
     def counting_layers(nmax, smax, cell_budget):
         passes.append((nmax, smax))
@@ -268,7 +268,7 @@ def test_min_ts_auto_runs_one_pass_to_the_certificate(monkeypatch):
             drawn.append(1)
             yield layer
 
-    monkeypatch.setattr(dp, "_layers", counting_layers)
+    monkeypatch.setattr(runs, "_layers", counting_layers)
     record = min_ts_auto(n)
     assert (record.product, record.best_s, record.best_f) == row_minimum(full, n)
     assert len(passes) == 1

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from pebblegame import ReplayChecker, dp
+from pebblegame import ReplayChecker, runs
 
 
 def bennett_schedule(k, m, offset=0):
@@ -64,7 +64,7 @@ def test_schedule_bounds_sampled_cells_up_to_40_pebbles():
                     cells.setdefault(s, []).append((k, m, n))
     nmax = max(n for group in cells.values() for _, _, n in group)
     assert nmax == 2**39
-    for s, layer in enumerate(dp._layers(nmax, 40, nmax * 40), 1):
+    for s, layer in enumerate(runs._layers(nmax, 40, nmax * 40), 1):
         for k, m, n in cells.get(s, ()):
             assert layer.cost(n) <= (2 * k - 1) ** m, (k, m, n, s)
 

@@ -23,7 +23,8 @@ from pebblegame import (
     to_intervals,
     verify,
 )
-from pebblegame import dp, strategy
+from pebblegame import dp, runs
+from pebblegame import play as play_engine
 from pebblegame.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
@@ -185,7 +186,10 @@ def test_closed_form_cells_run_no_layer(capsys, monkeypatch):
     def no_layers(*args):
         raise AssertionError("a cell the closed forms settle runs no layer")
 
-    monkeypatch.setattr(dp, "_layers", no_layers)
+    # _layers is looked up in the layer engine, which every layer pass runs through.
+    monkeypatch.setattr(runs, "_layers", no_layers)
+    with pytest.raises(AssertionError, match="closed forms settle runs no layer"):
+        dp.f_cost(4, 3)  # the control: a cell that needs a layer hits the patch
     assert dp.f_cost(10**7, 19) is INFINITE
     assert dp.split_point(10**7, 19) is None
     assert dp.delta(10**7, 19) is INFINITE
@@ -229,7 +233,9 @@ def test_strategy_interval_cap(capsys):
 def test_strategy_interval_cap_refuses_before_any_board(capsys, monkeypatch):
     # The (2**20, 21) play has 416,523,309 moves: the cap refuses it before a replay
     # board of 2**20 + 2 slots is made.
-    monkeypatch.setattr(strategy, "ReplayChecker", None)
+    monkeypatch.setattr(play_engine, "ReplayChecker", None)
+    with pytest.raises(TypeError, match="'NoneType' object is not callable"):
+        main(["strategy", "4", "3", "--emit", "intervals"])  # the control: a board is made
     assert run(capsys, "strategy", "1048576", "21", "--emit", "intervals") == (
         65,
         "",
@@ -563,7 +569,9 @@ def test_bounds_checks_its_sums_before_any_layer(capsys, monkeypatch, flags):
     def no_layer(*args):
         raise AssertionError("bounds merged a layer")
 
-    monkeypatch.setattr(dp, "_last_layer", no_layer)
+    monkeypatch.setattr(runs, "_last_layer", no_layer)
+    with pytest.raises(AssertionError, match="bounds merged a layer"):
+        main(["bounds", "5", *flags])  # the control: sums within the cap merge a layer
     assert run(capsys, "bounds", "24", *flags) == (
         65, "", "resource limit: f_bound_upper_sum(k=22, S=24) exceeds the 64-bit cap\n"
     )
@@ -1073,9 +1081,9 @@ def test_peak_memory_of_large_runs(argv, lines, cut, bound_mb):
 def test_plays_at_the_line_table_bound(capsys, monkeypatch, past):
     # Written through the table at the bound and with "%" past it, read back by the
     # table or by int(): the same bytes, reports and errors.
-    n = strategy.LINE_SQUARES + past
+    n = play_engine.LINE_SQUARES + past
     code, out, err = run(capsys, "strategy", str(n), str(n), "--verify")
-    text = strategy._format_signed([*range(1, n + 1), *range(1 - n, 0)])
+    text = play_engine._format_signed([*range(1, n + 1), *range(1 - n, 0)])
     assert (code, out, err) == (0, text + f"T={2 * n - 1} peak={n} valid=true\n", "")
     lines = text.splitlines(keepends=True)
     # Line n + 9 lifts square n - 10; lifting it twice halts at step n + 11, mid-chunk.

@@ -21,7 +21,7 @@ from pebblegame import (
     synthesize,
     table_delta,
 )
-from pebblegame import dp
+from pebblegame import dp, runs
 from pebblegame.cost import cost_sum
 
 
@@ -188,7 +188,7 @@ def test_build_table_shape_and_padding(nmax, smax):
         assert all(type(row) is tuple and len(row) == smax + 1 for row in rows)
         assert rows[0] == (pad,) * (smax + 1)
         assert all(row[0] is pad for row in rows)
-    for s, layer in enumerate(dp._layers(nmax, smax, None), 1):
+    for s, layer in enumerate(runs._layers(nmax, smax, None), 1):
         top = layer.top
         assert [row[s] for row in tables.f[1 : top + 1]] == list(layer.costs()), s
         assert [row[s] for row in tables.m[1 : top + 1]] == list(layer.splits()), s
@@ -297,7 +297,7 @@ def test_layer_pass_names_the_first_cell_over_the_cap(monkeypatch, nmax, smax, c
         ),
         None,
     )
-    monkeypatch.setattr(dp, "MAX_FINITE_COST", cap)
+    monkeypatch.setattr(runs, "MAX_FINITE_COST", cap)
     if first is None:  # every F in 300x12 is at most 10**5
         assert build_table(nmax, smax) == tables
         return
@@ -312,7 +312,7 @@ def test_layer_pass_names_the_first_cell_over_the_cap(monkeypatch, nmax, smax, c
 def test_layer_pass_merges_a_pinned_number_of_runs(nmax, smax, merged):
     """Runs merged by one layer pass, slope runs plus pick runs over its layers,
     pinned so that a change to the work of the merge shows."""
-    layers = dp._layers(nmax, smax, nmax * smax)
+    layers = runs._layers(nmax, smax, nmax * smax)
     assert sum(len(layer.runs) + len(layer.picks) for layer in layers) == merged
 
 
@@ -387,7 +387,7 @@ def test_query_routes_agree_with_large_table(tables_2048_16):
 def test_run_layers_expand_to_the_naive_reference(naive_reference, nmax, smax):
     """Every layer, expanded, holds F and the least split of the plain recursion
     on every cell up to its top, past which F is INFINITE."""
-    for s, layer in enumerate(dp._layers(nmax, smax, None), 1):
+    for s, layer in enumerate(runs._layers(nmax, smax, None), 1):
         assert (layer.s, layer.nmax, layer.top) == (s, nmax, min(nmax, 2 ** (s - 1)))
         expected = [naive_reference(n, s) for n in range(1, nmax + 1)]
         assert list(layer.costs()) == [cost for cost, _ in expected[: layer.top]], s
@@ -399,7 +399,7 @@ def test_run_layers_expand_to_the_naive_reference(naive_reference, nmax, smax):
 
 @pytest.fixture(scope="module")
 def layers_2048_16():
-    return list(dp._layers(2048, 16, None))
+    return list(runs._layers(2048, 16, None))
 
 
 def test_run_layer_reads_match_table_reads(tables_2048_16, layers_2048_16):
@@ -448,7 +448,7 @@ def test_run_layer_edges(layers_2048_16):
         top = 2 ** (s - 1)
         assert layer.top == top and dp._marginal(layer.cost, top) is INFINITE, s
         assert dp._marginal(layer.cost, 0) == 0 and layer.cost(top + 1) is INFINITE
-    small = dp._last_layer(4, 8, None)
+    small = runs._last_layer(4, 8, None)
     assert x_threshold(5, 8, small) is BEYOND_TABLE
     assert x_threshold(5, 8, build_table(4, 8)) is BEYOND_TABLE
     with pytest.raises(TableRangeError):
@@ -466,7 +466,7 @@ def test_layers_match_the_slope_counting_reference(slope_counts):
     from pebblegame.analysis import BEYOND_TABLE, x_threshold
 
     dmax = 400
-    layers = list(dp._layers(2**15 + 1, 16, None))  # every threshold of S <= 16 is below nmax
+    layers = list(runs._layers(2**15 + 1, 16, None))  # every threshold of S <= 16 is below nmax
     for layer, counts in zip(layers, slope_counts(16, dmax)):
         s, held = layer.s, dict(layer.runs)
         assert list(itertools.accumulate(held.get(d, 0) for d in range(0, dmax + 1, 2))) == (
@@ -485,6 +485,6 @@ def test_layers_match_the_slope_counting_reference(slope_counts):
 
 def test_merge_rejects_a_slope_that_falls():
     # F(1..4, 2) would be 1, 3, 9, 13: slopes 2, 6, 4, not convex.
-    below = dp.Layer(2, 10, 4, ((2, 1), (6, 1), (4, 1)), ((0, 1), (1, 1)))
+    below = runs.Layer(2, 10, 4, ((2, 1), (6, 1), (4, 1)), ((0, 1), (1, 1)))
     with pytest.raises(ArithmeticError, match=r"^slope d\(n=5, S=3\) = 4 falls below 6: "):
-        dp._next_layer(below, 10)
+        runs._next_layer(below, 10)

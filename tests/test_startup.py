@@ -55,46 +55,39 @@ def loaded_modules(code: str, *argv):
 
 # The command line is read without argparse, which would bring gettext and locale.
 PARSER = {"argparse", "gettext", "locale"}
-# The modules that hold the command handlers; main imports one of them, or none for help.
-ENGINES = {f"pebblegame.{name}" for name in ("dp", "strategy", "oracle", "analysis")}
+# The modules behind the commands: those that hold the handlers, and the layer engine
+# (runs) under dp, analysis and the play engine (play).  main imports one handler's
+# module, or none for help; each command is pinned to the engines it runs.
+ENGINES = {
+    f"pebblegame.{name}" for name in ("dp", "runs", "play", "strategy", "oracle", "analysis")
+}
+
+
+def loads_only(*names):
+    """The engines that a command leaves unloaded when it runs only ``names``."""
+    return ENGINES - {f"pebblegame.{name}" for name in names} | PARSER
 
 
 @pytest.mark.parametrize(
     "argv, last_line, absent",
     [
-        (("cost", "1", "1"), "F(1,1) = 1", {"dataclasses"} | ENGINES - {"pebblegame.dp"} | PARSER),
+        (("cost", "1", "1"), "F(1,1) = 1", {"dataclasses"} | loads_only("dp", "runs")),
         (
             ("strategy", "8", "4", "--verify"),
             "T=25 peak=4 valid=true",
-            {"dataclasses", "pebblegame.analysis"} | PARSER,
+            {"dataclasses"} | loads_only("play", "runs"),
         ),
-        (
-            ("tsmin", "9"),
-            "S=5 F=25 TS=125 ratio=1.0660",
-            {"pebblegame.strategy", "pebblegame.oracle"} | PARSER,
-        ),
-        (
-            ("table", "10", "4", "--format", "csv"),
-            "10,inf,inf,inf,inf",
-            ENGINES - {"pebblegame.dp"} | PARSER,
-        ),
-        (("verify", "2", "2"), "T=3 peak=2 valid=true", ENGINES - {"pebblegame.strategy"} | PARSER),
-        (
-            ("oracle", "8", "4"),
-            "bfs=25 dp=25 agree",
-            {"pebblegame.strategy", "pebblegame.analysis"} | PARSER,
-        ),
+        (("tsmin", "9"), "S=5 F=25 TS=125 ratio=1.0660", loads_only("analysis", "runs")),
+        (("table", "10", "4", "--format", "csv"), "10,inf,inf,inf,inf", loads_only("dp", "runs")),
+        (("verify", "2", "2"), "T=3 peak=2 valid=true", loads_only("strategy", "play")),
+        (("oracle", "8", "4"), "bfs=25 dp=25 agree", loads_only("oracle", "dp", "runs")),
         (
             ("bounds", "5"),
             "4      16 16      16       162      71    ok       839      71  FAIL",
-            {"pebblegame.strategy", "pebblegame.oracle"} | PARSER,
+            loads_only("analysis", "runs"),
         ),
-        (
-            ("fgamma", "8"),
-            "0.5000 1.000000 256 - -",
-            {"pebblegame.strategy", "pebblegame.oracle"} | PARSER,
-        ),
-        (("--help",), "  fgamma    normalized log-cost report on a gamma grid", ENGINES | PARSER),
+        (("fgamma", "8"), "0.5000 1.000000 256 - -", loads_only("analysis", "runs")),
+        (("--help",), "  fgamma    normalized log-cost report on a gamma grid", loads_only()),
     ],
 )
 def test_a_command_loads_only_what_it_runs(argv, last_line, absent):

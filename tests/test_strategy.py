@@ -25,19 +25,9 @@ from pebblegame import (
     to_intervals,
     verify,
 )
-from pebblegame import strategy
-from pebblegame.strategy import (
-    CHUNK,
-    Move,
-    _emit,
-    _iter_chunks,
-    _lines,
-    _moves_of,
-    _play_splits,
-    ReplayChecker,
-    Strategy,
-    parse_move,
-)
+from pebblegame import play as play_engine, strategy
+from pebblegame.play import CHUNK, _emit, _lines, _play_splits, ReplayChecker
+from pebblegame.strategy import Move, _iter_chunks, _moves_of, Strategy, parse_move
 
 
 def parse_moves(text: str) -> tuple:
@@ -295,8 +285,8 @@ def test_emitter_matches_the_reference_across_the_memo_bound_and_cap(
 ):
     # Subgames of 127 to 129 squares straddle the bound; a small cap leaves some
     # subgames of the bound to the stack, and caps of 700 and 5000 fill up mid-play.
-    monkeypatch.setattr(strategy, "MEMO_SQUARES", memo_squares)
-    monkeypatch.setattr(strategy, "MEMO_CAP", memo_cap)
+    monkeypatch.setattr(play_engine, "MEMO_SQUARES", memo_squares)
+    monkeypatch.setattr(play_engine, "MEMO_CAP", memo_cap)
     refused = False  # a subgame of the bound that the memo had no room for
     for n, s in [(127, 8), (128, 8), (129, 9), (130, 9), (256, 9), (1000, 20), (4096, 13)]:
         split = _play_splits(n, s, None)[0]
@@ -689,7 +679,7 @@ def _replay_at_the_top(n):
     initial = {n - 3, n - 2}
     legal = [n - 1, n, -(n - 1), n - 1, -n, -(n - 1), -(n - 2), n - 2]
     checker = ReplayChecker(n, budget=3, initial=initial)
-    intervals = strategy._replay_intervals(checker, [legal[:3], legal[3:]])
+    intervals = play_engine._replay_intervals(checker, [legal[:3], legal[3:]])
     outcomes = [intervals, len(checker._starts), checker.finish(frozenset(initial))]
     checker, closed = ReplayChecker(n, initial=initial), []
     checker.feed_signed(legal + [n - 1, n - 1, -n, 5], closed)
@@ -937,15 +927,15 @@ def test_parser_falls_back_on_any_other_line(piece):
 
 @pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
 def test_line_table_writes_and_reads_as_int_and_percent_do(past):
-    n = strategy.LINE_SQUARES + past
+    n = play_engine.LINE_SQUARES + past
     lines = _lines(n)
     assert (lines is None) == bool(past)
     ladder = [*range(1, n + 1), *range(1 - n, 0)]
-    text = strategy._format_signed(ladder)
+    text = play_engine._format_signed(ladder)
     if lines is not None:
         assert len(lines) == 2 * n + 1
-        assert strategy._format_signed(ladder, lines) == text
-        assert strategy._format_signed([-n, -1, n, 1], lines) == f"-{n}\n-1\n+{n}\n+1\n"
+        assert play_engine._format_signed(ladder, lines) == text
+        assert play_engine._format_signed([-n, -1, n, 1], lines) == f"-{n}\n-1\n+{n}\n+1\n"
     # The last lines are off the board, or not plain, after the table is built.
     half = text.index("\n", len(text) // 2) + 1
     for tail in ["", f"+{n + 1}\n", f"-{n + 1}\n+1\n", "+0\n", f"+{n:07d}\n", "+1 \n-1\n"]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import pebblegame
-from pebblegame import dp
+from pebblegame import dp, runs
 from pebblegame.cli import main
 from pebblegame.cost import INFINITE, InfiniteCost
 
@@ -27,7 +27,7 @@ FORMATS = ("plain", "csv", "tsv")
 
 def reference_table(nmax: int, smax: int, fmt: str) -> str:
     """`table nmax smax --format fmt` with every cell formatted, "inf" ones too."""
-    layers = list(dp._layers(nmax, smax, None))
+    layers = list(runs._layers(nmax, smax, None))
     header = ["n"] + [f"S={layer.s}" for layer in layers]
     if fmt == "plain":
         widths = [len(str(nmax))] + [
@@ -99,7 +99,7 @@ def test_table_formats_no_infinite_object(monkeypatch, fmt):
 def test_table_refuses_tops_that_fall(monkeypatch):
     """The bands hold only while layer tops never fall with S; falling tops
     raise rather than print a misplaced "inf"."""
-    layers = list(dp._layers(8, 4, None))
+    layers = list(runs._layers(8, 4, None))
     swapped = [layers[0], layers[1], layers[3], layers[2]]
     monkeypatch.setattr(dp, "_layers", lambda *args: swapped)
     with pytest.raises(ArithmeticError, match="fall with S"):
