@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import config, runs
+from . import runs
 from .cost import INFINITE, MAX_FINITE_COST, _checked
 from .errors import EXIT_OK, ResourceLimitError, TableRangeError, _check_int
 
@@ -152,8 +152,7 @@ def min_ts_auto(n: int, *, cell_budget: int | None = None) -> TsRecord:
     the least solvable S, else when it runs out.
     """
     _check_int("n", n, 1)
-    budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    _check_int("cell_budget", budget)
+    budget = runs._budget(cell_budget)
     s_start = (n - 1).bit_length() + 1
     smax = min(n, budget // n)
     s = s_start - 1  # every S <= s is unsolvable or scanned; S = s + 1 needs n * (s + 1) cells

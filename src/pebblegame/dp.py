@@ -19,9 +19,10 @@ first stage in reverse.
 One evaluation route is provided: the layer engine, ``runs``, fills the recursion a
 layer (a pebble budget) at a time, and ``build_table`` pads each layer's finite part
 with INFINITE and 0 (no split) into tables.  ``f_cost``, ``split_point`` and ``delta``
-give INFINITE past 2**(S-1) and 2n - 1 where S >= n with no layer or budget, else one
-pass of S layers cut at the queried board.  The tests check the layers against a plain
-recursion.  The handlers of the ``cost`` and ``table`` commands are the last functions here.
+(at n + 1) ask ``runs._settled``, which checks n, S and the budget's type and answers
+the closed-form cells with no layer; any other cell runs one pass of S layers cut at
+the queried board.  The tests check the layers against a plain recursion.  The
+handlers of the ``cost`` and ``table`` commands are the last functions here.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from . import config
 from .cost import INFINITE, Cost
-from .errors import EXIT_OK, EXIT_UNSOLVABLE, TableRangeError, _check_int, _validate
-from .runs import Layer, _ladder, _last_layer, _layers, _settled, is_solvable
+from .errors import EXIT_OK, EXIT_UNSOLVABLE, TableRangeError, _check_int
+from .runs import Layer, _last_layer, _layers, _settled, is_solvable
 
 
 class DpTables(NamedTuple):
@@ -73,11 +73,8 @@ def _marginal(cost, n: int) -> Cost:
 
 
 def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
-    """F(n, s) and its least split (0 where undefined), once n, S and the budget's type are
-    checked: ``_settled`` where it can, else one layer pass, the only case the budget binds."""
-    _validate(n, s)
-    _check_int("cell_budget", config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget)
-    if settled := _settled(n, s):
+    """F(n, s) and its least split (0 where undefined): settled, else one layer pass."""
+    if settled := _settled(n, s, cell_budget):
         return settled
     layer = _last_layer(n, s, cell_budget)
     return layer.cost(n), layer.split(n)
@@ -98,11 +95,8 @@ def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
     """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for n >= 2**(s-1)."""
     _check_int("n", n)
     _check_int("S", s, 1)
-    _check_int("cell_budget", config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget)
-    if s > n:
-        return _marginal(_ladder, n)
-    if not is_solvable(n + 1, s):
-        return INFINITE
+    if settled := _settled(max(n, 0) + 1, s, cell_budget):  # the ladder's slope is 2
+        return INFINITE if settled[0] is INFINITE else 2 * (n > 0)
     return _marginal(_last_layer(n + 1, s, cell_budget).cost, n)
 
 

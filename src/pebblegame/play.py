@@ -216,7 +216,7 @@ def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
     from .cost import INFINITE
     from .runs import _layers, _settled
 
-    if settled := _settled(n, s):
+    if settled := _settled(n, s, cell_budget):
         if settled[0] is INFINITE:
             raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
         return None, settled[0]

@@ -8,7 +8,9 @@ ties go to H, which keeps the least split.  Slopes are even and come in long run
 few hundred where a board has tens of thousands of squares, so a layer is kept, and
 merged, as its (slope, count) runs.  Past n = 2**(S-1) the merge runs out of finite
 terms and F is INFINITE.  ``Layer`` reads F and the least split as prefix sums over
-the runs; ``_settled`` answers the cells that need no layer.
+the runs.  Each route's query plan is said here once: ``_settled`` answers the cells
+the closed forms settle, with no layer, and ``_budget`` resolves the cell budget for
+every route and prices each pass that ``_layers`` draws.
 """
 
 from __future__ import annotations
@@ -149,22 +151,24 @@ def _next_layer(below: Layer, nmax: int) -> Layer:
             picks.append((is_g, count))
 
 
-def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[Layer]:
-    """Yield the layers for S = 1..smax, each cut at nmax, as it is merged.
-
-    Every check of a layer pass is made here or in the one walk of each
-    layer, ``_next_layer``: nmax and smax are integers >= 1, and the cell
-    budget is an integer that bounds nmax * smax, the cells a table of these
-    layers would hold, all before any layer is made.
-    """
-    _check_int("nmax", nmax, 1)
-    _check_int("smax", smax, 1)
+def _budget(cell_budget: int | None, cells: int | None = None) -> int:
+    """The cell budget in force, the default where None, checked to be an int (not a bool);
+    ResourceLimitError if ``cells``, the cells a pass would price, exceed it."""
     budget = config.DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
     _check_int("cell_budget", budget)
-    if nmax * smax > budget:
-        raise ResourceLimitError(
-            f"table of {nmax * smax} cells exceeds the cell budget ({budget})"
-        )
+    if cells is not None and cells > budget:
+        raise ResourceLimitError(f"table of {cells} cells exceeds the cell budget ({budget})")
+    return budget
+
+
+def _layers(nmax: int, smax: int, cell_budget: int | None) -> Iterator[Layer]:
+    """Yield the layers for S = 1..smax, each cut at nmax, as it is merged: the one
+    generator every pass is drawn from.  nmax and smax are checked to be integers
+    >= 1 and ``_budget`` prices the pass at nmax * smax cells, before any layer;
+    ``_next_layer`` checks each layer as it walks it."""
+    _check_int("nmax", nmax, 1)
+    _check_int("smax", smax, 1)
+    _budget(cell_budget, nmax * smax)
     layer = Layer(1, nmax, 1, (), ())
     yield layer
     for _ in range(2, smax + 1):
@@ -182,10 +186,13 @@ def _ladder(n: int) -> int:
     return _checked(2 * n - 1, f"F(n={n}, S>={n})")
 
 
-def _settled(n: int, s: int) -> tuple | None:
-    """F(n, s) and its least split where a closed form settles the cell, else None: INFINITE
-    and 0 past n = 2**(s-1), S = 0 included; where s >= n the ladder with split 1 (0 at n = 1),
-    as a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1)."""
+def _settled(n: int, s: int, cell_budget: int | None) -> tuple | None:
+    """Once n, S and the budget's type are checked, F(n, s) and its least split where a
+    closed form settles the cell, else None (one pass answers it): INFINITE and 0 past
+    n = 2**(s-1), S = 0 included; where s >= n the ladder with split 1 (0 at n = 1), as
+    a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1)."""
+    _validate(n, s)
+    _budget(cell_budget)
     if not is_solvable(n, s):
         return INFINITE, 0
     return (_ladder(n), 1 if n > 1 else 0) if s >= n else None

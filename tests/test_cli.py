@@ -188,8 +188,10 @@ def test_closed_form_cells_run_no_layer(capsys, monkeypatch):
 
     # _layers is looked up in the layer engine, which every layer pass runs through.
     monkeypatch.setattr(runs, "_layers", no_layers)
-    with pytest.raises(AssertionError, match="closed forms settle runs no layer"):
-        dp.f_cost(4, 3)  # the control: a cell that needs a layer hits the patch
+    # The controls: cells that need a layer hit the patch (delta's is F(5, 4)).
+    for route, n, s in ((dp.f_cost, 4, 3), (dp.delta, 4, 4)):
+        with pytest.raises(AssertionError, match="closed forms settle runs no layer"):
+            route(n, s)
     assert dp.f_cost(10**7, 19) is INFINITE
     assert dp.split_point(10**7, 19) is None
     assert dp.delta(10**7, 19) is INFINITE

@@ -17,11 +17,13 @@ from pebblegame import (
     delta,
     f_cost,
     is_solvable,
+    iter_strategy_moves,
+    min_ts_auto,
     split_point,
     synthesize,
     table_delta,
 )
-from pebblegame import dp, runs
+from pebblegame import config, dp, runs
 from pebblegame.cost import cost_sum
 
 
@@ -279,9 +281,32 @@ def test_cell_budget_enforced():
         (f_cost, 5001, 5001, "x"),
         (f_cost, 5, 0, 1.5),
         (delta, 10**6, 10**6 + 1, True),
+        (delta, 0, 1, "x"),  # n <= 0 has a marginal cost of 0, after the budget's check
+        (delta, -3, 2, 1.5),
     ):
         with pytest.raises(ValueError, match=rf"^cell_budget must be an integer, got {budget!r}$"):
             route(n, s, cell_budget=budget)
+
+
+def test_default_budget_binds_every_route(monkeypatch):
+    """The default cell budget, read when ``cell_budget`` is None, prices the pass of
+    every route that needs one; a cell the closed forms settle still answers."""
+    monkeypatch.setattr(config, "DEFAULT_CELL_BUDGET", 11)
+    for route, args in (
+        (f_cost, (4, 3)),  # 4 x 3 = 12 cells
+        (split_point, (4, 3)),
+        (delta, (3, 3)),  # a pass at n + 1 = 4
+        (build_table, (4, 3)),
+        (min_ts_auto, (4,)),
+        (synthesize, (4, 3)),
+        (iter_strategy_moves, (4, 3)),
+    ):
+        with pytest.raises(ResourceLimitError, match=r"\b11\b"):
+            route(*args)
+    assert f_cost(10**7, 19) is INFINITE
+    assert f_cost(20, 20) == 39
+    assert delta(10**6, 10**6 + 1) == 2
+    assert len(synthesize(5, 5).moves) == 9
 
 
 @pytest.mark.parametrize("nmax, smax", [(300, 12), (5000, 14)])
