@@ -1,13 +1,14 @@
 """Command-line interface: the COMMANDS table, its parser, usage and ``main``.
 
 A process reads its command line by the COMMANDS table, not argparse.  Each command's
-handler, ``cmd_<command>``, lives in the module whose engine it drives (``dp``, ``play``,
-``strategy``, ``oracle`` or ``analysis``), and ``main`` imports that one module after the
-parse and the limits load, so that a process compiles only the code its command runs.  Exit codes are the
-contract of ``errors``.  Data goes to stdout, all of it through ``print``, so a closed
-stdout is treated as /dev/null, as a cut pipe is; diagnostics go to stderr, and
-identical invocations produce byte-identical output.  A handler that cannot answer
-raises, and ``main`` alone turns the error into its stderr line and exit code.
+handler, ``cmd_<command>``, lives in the module whose engine it drives (``runs``, ``dp``,
+``play``, ``strategy``, ``oracle`` or ``analysis``), and ``main`` imports that one module
+after the parse and the limits load, so that a process compiles only the code its
+command runs.  Exit codes are the contract of ``errors``.  Data goes to stdout, all of
+it through ``print``, so a closed stdout is treated as /dev/null, as a cut pipe is;
+diagnostics go to stderr, and identical invocations produce byte-identical output.  A
+handler that cannot answer raises, and ``main`` alone turns the error into its stderr
+line and exit code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _LIMITS = {
     "--max-moves": (int, None, "materialization cap (overrides config file)"),
 }
 COMMANDS = {
-    "cost": ("dp", "minimum move count F(n,S)", ("n", "S"), {}),
+    "cost": ("runs", "minimum move count F(n,S)", ("n", "S"), {}),
     "table": ("dp", "full F table up to (nmax, smax)", ("nmax", "smax"), {
         "--format": (("plain", "csv", "tsv"), "plain", "row format (default plain)"),
     }),

@@ -16,13 +16,10 @@ because an optimal play must first build a pebble to some square m, then win
 the (n-m)-square game above it with one pebble parked on m, then erase the
 first stage in reverse.
 
-One evaluation route is provided: the layer engine, ``runs``, fills the recursion a
-layer (a pebble budget) at a time, and ``build_table`` pads each layer's finite part
-with INFINITE and 0 (no split) into tables.  ``f_cost``, ``split_point`` and ``delta``
-(at n + 1) ask ``runs._settled``, which checks n, S and the budget's type and answers
-the closed-form cells with no layer; any other cell runs one pass of S layers cut at
-the queried board.  The tests check the layers against a plain recursion.  The
-handlers of the ``cost`` and ``table`` commands are the last functions here.
+The layer engine, ``runs``, fills the recursion a layer (a pebble budget) at a time and
+answers single cells (``f_cost``, ``split_point``, ``delta``, imported here from it).
+This module holds the tables: ``build_table`` pads each layer's finite part with
+INFINITE and 0 (no split), and the handler of ``table`` is the last function here.
 """
 
 from __future__ import annotations
@@ -31,8 +28,8 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from .cost import INFINITE, Cost
-from .errors import EXIT_OK, EXIT_UNSOLVABLE, TableRangeError, _check_int
-from .runs import Layer, _last_layer, _layers, _settled, is_solvable
+from .errors import EXIT_OK, TableRangeError
+from .runs import Layer, _last_layer, _layers, _marginal, delta, f_cost, is_solvable, split_point
 
 
 class DpTables(NamedTuple):
@@ -64,42 +61,6 @@ class DpTables(NamedTuple):
             )
 
 
-def _marginal(cost, n: int) -> Cost:
-    """F(n+1) - F(n) by ``cost``: 0 for n <= 0, INFINITE where F(n+1) is infinite."""
-    if n <= 0:
-        return 0
-    after = cost(n + 1)
-    return INFINITE if after is INFINITE else after - cost(n)
-
-
-def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
-    """F(n, s) and its least split (0 where undefined): settled, else one layer pass."""
-    if settled := _settled(n, s, cell_budget):
-        return settled
-    layer = _last_layer(n, s, cell_budget)
-    return layer.cost(n), layer.split(n)
-
-
-def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """F(n, s): INFINITE past n = 2**(s-1), 2n - 1 where s >= n, else from one pass
-    over s run layers cut at n."""
-    return _cell(n, s, cell_budget)[0]
-
-
-def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None:
-    """Smallest split m attaining F(n, s); None when n <= 1 or F is infinite."""
-    return _cell(n, s, cell_budget)[1] or None
-
-
-def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for n >= 2**(s-1)."""
-    _check_int("n", n)
-    _check_int("S", s, 1)
-    if settled := _settled(max(n, 0) + 1, s, cell_budget):  # the ladder's slope is 2
-        return INFINITE if settled[0] is INFINITE else 2 * (n > 0)
-    return _marginal(_last_layer(n + 1, s, cell_budget).cost, n)
-
-
 def build_table(nmax: int, smax: int, *, cell_budget: int | None = None) -> DpTables:
     """Fill complete F and split tables for 1 <= n <= nmax, 1 <= S <= smax."""
     layers = list(_layers(nmax, smax, cell_budget))
@@ -122,14 +83,6 @@ def table_delta(tables: DpTables, n: int, s: int) -> Cost:
     """Marginal cost read from built tables, without a new layer pass."""
     tables._check(1, s)
     return _marginal(lambda m: tables.cost(m, s), n)
-
-
-def cmd_cost(args, limits) -> int:
-    value, split = _cell(args.n, args.s, limits.cell_budget)
-    print(f"F({args.n},{args.s}) = {value}")
-    if value is not INFINITE and args.n >= 2:
-        print(f"m({args.n},{args.s}) = {split}")
-    return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE
 
 
 # Cells of `table` formatted and written at a time.

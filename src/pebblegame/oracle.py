@@ -3,13 +3,13 @@
 Board states are n-bit masks (square i at bit i-1), and only boards with at
 most S pebbles are visited.  One breadth-first search, ``_meet``, runs from both
 ends, the empty board and {n}, keeping the boards it reaches in dicts.  It gives
-the least move count and a witness play apart from the recursion in ``dp``.  The
+the least move count and a witness play apart from the layer engine, ``runs``.  The
 handler of the ``oracle`` command, the last function here, compares the two.
 """
 
 from __future__ import annotations
 
-from . import dp
+from . import runs
 from .cost import INFINITE, Cost
 from .errors import EXIT_DISAGREE, EXIT_OK, EXIT_UNSOLVABLE, ResourceLimitError, _validate
 
@@ -116,7 +116,7 @@ def bfs_path(n: int, s: int):
 
 def cmd_oracle(args, limits) -> int:
     _check_size(args.n, args.s)  # the size cap first, then the cell budget, then search
-    dp_value = dp.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
+    dp_value = runs.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
     if args.path:  # one search: the distance is the witness's length
         witness = bfs_path(args.n, args.s)
         bfs = INFINITE if witness is None else witness.step_count

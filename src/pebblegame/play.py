@@ -210,18 +210,15 @@ class ReplayChecker:
 
 def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
     """The least split at every subgame of the (n, s) play with S < n, as a function
-    of (n, S), and F(n, s), the play's length; UnsolvableError if n > 2**(s-1).
-    Each split is ``Layer.split`` of the run layers cut at n, under the cell budget
-    of their table.  Where s >= n the play is one ladder, which asks no split."""
+    of (n, S), and F(n, s), the play's length, from ``runs._cell``: ``Layer.split`` of
+    its layers, or None for a ladder, which asks no split; UnsolvableError if n > 2**(s-1)."""
     from .cost import INFINITE
-    from .runs import _layers, _settled
+    from .runs import _cell
 
-    if settled := _settled(n, s, cell_budget):
-        if settled[0] is INFINITE:
-            raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
-        return None, settled[0]
-    layers = list(_layers(n, s, cell_budget))
-    return (lambda n, s: layers[s - 1].split(n)), layers[-1].cost(n)
+    value, _, layers = _cell(n, s, cell_budget)
+    if value is INFINITE:
+        raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
+    return (lambda n, s: layers[s - 1].split(n)) if layers else None, value
 
 
 def _emit(n: int, s: int, split: Callable[[int, int], int] | None) -> Iterator[list]:

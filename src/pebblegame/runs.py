@@ -8,9 +8,9 @@ ties go to H, which keeps the least split.  Slopes are even and come in long run
 few hundred where a board has tens of thousands of squares, so a layer is kept, and
 merged, as its (slope, count) runs.  Past n = 2**(S-1) the merge runs out of finite
 terms and F is INFINITE.  ``Layer`` reads F and the least split as prefix sums over
-the runs.  Each route's query plan is said here once: ``_settled`` answers the cells
-the closed forms settle, with no layer, and ``_budget`` resolves the cell budget for
-every route and prices each pass that ``_layers`` draws.
+the runs.  ``_budget`` resolves the cell budget and prices each pass ``_layers`` draws;
+``_cell`` is the one route to a single cell, behind ``f_cost``, ``split_point``,
+``delta``, a play's splits, the oracle and the ``cost`` handler, the last function here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 from . import config
 from .cost import INFINITE, MAX_FINITE_COST, Cost, _checked
-from .errors import _check_int, _validate
+from .errors import EXIT_OK, EXIT_UNSOLVABLE, _check_int, _validate
 from .errors import CostOverflowError, ResourceLimitError, TableRangeError
 
 
@@ -186,19 +186,60 @@ def _ladder(n: int) -> int:
     return _checked(2 * n - 1, f"F(n={n}, S>={n})")
 
 
-def _settled(n: int, s: int, cell_budget: int | None) -> tuple | None:
-    """Once n, S and the budget's type are checked, F(n, s) and its least split where a
-    closed form settles the cell, else None (one pass answers it): INFINITE and 0 past
-    n = 2**(s-1), S = 0 included; where s >= n the ladder with split 1 (0 at n = 1), as
-    a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1)."""
+def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
+    """F(n, s), its least split (0 where undefined) and the layers that answered it, once
+    n, S and the budget's type are checked.  The closed forms settle a cell with no layer:
+    INFINITE past n = 2**(s-1), S = 0 included, and where s >= n the ladder with split 1
+    (0 at n = 1), as a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1).
+    Any other cell is read off one pass of s layers cut at n."""
     _validate(n, s)
     _budget(cell_budget)
     if not is_solvable(n, s):
-        return INFINITE, 0
-    return (_ladder(n), 1 if n > 1 else 0) if s >= n else None
+        return INFINITE, 0, ()
+    if s >= n:
+        return _ladder(n), 1 if n > 1 else 0, ()
+    layers = tuple(_layers(n, s, cell_budget))
+    return layers[-1].cost(n), layers[-1].split(n), layers
 
 
 def is_solvable(n: int, s: int) -> bool:
     """True iff n <= 2**(s-1), without evaluating F or building 2**(s-1)."""
     _validate(n, s)
     return (n - 1).bit_length() <= s - 1
+
+
+def _marginal(cost, n: int) -> Cost:
+    """F(n+1) - F(n) by ``cost``: 0 for n <= 0, INFINITE where F(n+1) is infinite."""
+    if n <= 0:
+        return 0
+    after = cost(n + 1)
+    return INFINITE if after is INFINITE else after - cost(n)
+
+
+def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
+    """F(n, s): INFINITE past n = 2**(s-1), 2n - 1 where s >= n, else from one pass
+    over s run layers cut at n."""
+    return _cell(n, s, cell_budget)[0]
+
+
+def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None:
+    """Smallest split m attaining F(n, s); None when n <= 1 or F is infinite."""
+    return _cell(n, s, cell_budget)[1] or None
+
+
+def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
+    """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for n >= 2**(s-1)."""
+    _check_int("n", n)
+    _check_int("S", s, 1)
+    value, _, layers = _cell(max(n, 0) + 1, s, cell_budget)
+    if not layers:  # settled: the ladder's slope is 2
+        return INFINITE if value is INFINITE else 2 * (n > 0)
+    return _marginal(layers[-1].cost, n)
+
+
+def cmd_cost(args, limits) -> int:
+    value, split, _ = _cell(args.n, args.s, limits.cell_budget)
+    print(f"F({args.n},{args.s}) = {value}")
+    if value is not INFINITE and args.n >= 2:
+        print(f"m({args.n},{args.s}) = {split}")
+    return EXIT_OK if value is not INFINITE else EXIT_UNSOLVABLE

@@ -188,8 +188,15 @@ def test_closed_form_cells_run_no_layer(capsys, monkeypatch):
 
     # _layers is looked up in the layer engine, which every layer pass runs through.
     monkeypatch.setattr(runs, "_layers", no_layers)
-    # The controls: cells that need a layer hit the patch (delta's is F(5, 4)).
-    for route, n, s in ((dp.f_cost, 4, 3), (dp.delta, 4, 4)):
+    # The controls: cells that need a layer hit the patch (delta's is F(5, 4)), on the
+    # library's, the play's and the oracle's routes alike.
+    controls = (
+        (dp.f_cost, 4, 3),
+        (dp.delta, 4, 4),
+        (lambda n, s: play_engine._play_splits(n, s, None), 4, 3),
+        (lambda n, s: main(["oracle", str(n), str(s)]), 8, 4),
+    )
+    for route, n, s in controls:
         with pytest.raises(AssertionError, match="closed forms settle runs no layer"):
             route(n, s)
     assert dp.f_cost(10**7, 19) is INFINITE
@@ -202,6 +209,12 @@ def test_closed_form_cells_run_no_layer(capsys, monkeypatch):
     assert run(capsys, "cost", "10000000", "19") == (2, "F(10000000,19) = inf\n", "")
     # The oracle's dp side is the same route: an unsolvable cell past the budget is searched.
     assert run(capsys, "oracle", "8", "3", "--cell-budget", "1") == (2, "bfs=inf dp=inf agree\n", "")
+    assert run(capsys, "oracle", "18", "3") == (2, "bfs=inf dp=inf agree\n", "")
+    # The play's splits are the same route: no split is asked of an unsolvable cell or a ladder.
+    err = "unsolvable: n=10000000 needs more than S=19 pebbles (limit is n <= 2**(S-1))\n"
+    assert run(capsys, "strategy", "10000000", "19") == (2, "", err)
+    code, out, err = run(capsys, "strategy", "5001", "5001", "--verify")
+    assert (code, out.splitlines()[-1], err) == (0, "T=10001 peak=5001 valid=true", "")
 
 
 def test_strategy_unsolvable(capsys):

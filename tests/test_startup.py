@@ -56,8 +56,9 @@ def loaded_modules(code: str, *argv):
 # The command line is read without argparse, which would bring gettext and locale.
 PARSER = {"argparse", "gettext", "locale"}
 # The modules behind the commands: those that hold the handlers, and the layer engine
-# (runs) under dp, analysis and the play engine (play).  main imports one handler's
-# module, or none for help; each command is pinned to the engines it runs.
+# (runs), which holds cost's handler and runs under dp, analysis, the oracle and the
+# play engine (play).  main imports one handler's module, or none for help; each
+# command is pinned to the engines it runs.
 ENGINES = {
     f"pebblegame.{name}" for name in ("dp", "runs", "play", "strategy", "oracle", "analysis")
 }
@@ -71,7 +72,7 @@ def loads_only(*names):
 @pytest.mark.parametrize(
     "argv, last_line, absent",
     [
-        (("cost", "1", "1"), "F(1,1) = 1", {"dataclasses"} | loads_only("dp", "runs")),
+        (("cost", "1", "1"), "F(1,1) = 1", {"dataclasses"} | loads_only("runs")),
         (
             ("strategy", "8", "4", "--verify"),
             "T=25 peak=4 valid=true",
@@ -80,7 +81,7 @@ def loads_only(*names):
         (("tsmin", "9"), "S=5 F=25 TS=125 ratio=1.0660", loads_only("analysis", "runs")),
         (("table", "10", "4", "--format", "csv"), "10,inf,inf,inf,inf", loads_only("dp", "runs")),
         (("verify", "2", "2"), "T=3 peak=2 valid=true", loads_only("strategy", "play")),
-        (("oracle", "8", "4"), "bfs=25 dp=25 agree", loads_only("oracle", "dp", "runs")),
+        (("oracle", "8", "4"), "bfs=25 dp=25 agree", loads_only("oracle", "runs")),
         (
             ("bounds", "5"),
             "4      16 16      16       162      71    ok       839      71  FAIL",
