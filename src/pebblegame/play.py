@@ -1,18 +1,19 @@
 """The play engine: emission and replay, all that a ``strategy`` process runs.
 
-A play travels as lists of signed squares (``+i`` as ``i``, ``-i`` as ``-i``), emitted
-``CHUNK`` at a time by one loop over a stack of subgames; a leaf is a ladder (S >= n) or
-a small subgame copied from a memo, and a subgame played backwards is its parts in
-reverse order, each backwards.  One replay core, ``ReplayChecker.feed_signed``, applies
-moves under the rule that square i may change only when i == 1 or square i-1 is
-occupied.  The handler of ``strategy`` is last; only a play's splits load ``runs``.
+A play travels as lists of signed squares (``+i`` as ``i``, ``-i`` as ``-i``), emitted ``CHUNK``
+at a time by one loop over a stack of subgames; a leaf is a ladder (S >= n) or a small subgame
+copied from a memo, and a subgame played backwards is its parts in reverse order, each
+backwards.  One replay core, ``ReplayChecker.feed_signed``, applies moves under the rule that
+square i may change only when i == 1 or square i-1 is occupied, and one verdict, ``_verdict``,
+ends a command's replay.  ``strategy``'s handler is last; only a play's splits load ``runs``.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import EXIT_OK, ResourceLimitError, UnsolvableError, _check_int
+from .errors import EXIT_OK, EXIT_UNSOLVABLE, ResourceLimitError, UnsolvableError, _check_int
 
 if TYPE_CHECKING:
     from .strategy import Move
@@ -336,9 +337,14 @@ def _replay_intervals(checker: ReplayChecker, chunks: Iterable[list]) -> Interva
     return IntervalView(checker.n, tuple(tuple(row) for row in rows))
 
 
-def _summary_line(report) -> str:
-    valid = "true" if report.valid else "false"
-    return f"T={report.step_count} peak={report.peak_pebbles} valid={valid}"
+def _verdict(checker: ReplayChecker) -> int:
+    """The end of a command's replay: finish it on the goal board {n}, print its summary
+    line, name its first violation on stderr, and return the exit code, 0 if valid, else 2."""
+    report = checker.finish(expected=frozenset({checker.n}))
+    print(f"T={report.step_count} peak={report.peak_pebbles} valid={str(report.valid).lower()}")
+    if report.first_violation is not None:
+        print("first violation: step %d (%s)" % report.first_violation, file=sys.stderr)
+    return EXIT_OK if report.valid else EXIT_UNSOLVABLE
 
 
 def cmd_strategy(args, limits) -> int:
@@ -359,6 +365,4 @@ def cmd_strategy(args, limits) -> int:
             print(_format_signed(chunk, lines), end="")
             if args.verify:
                 checker.feed_signed(chunk)
-    if args.verify:
-        print(_summary_line(checker.finish(expected=frozenset({n}))))
-    return EXIT_OK
+    return _verdict(checker) if args.verify else EXIT_OK

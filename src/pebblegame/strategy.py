@@ -3,7 +3,7 @@
 A move is ``+i`` (place a pebble on square i) or ``-i`` (remove one).  The text wire
 format is one move per line, newline terminated.  At the library boundary a move is
 ``Move(True, i)`` or ``Move(False, i)``; the replay core and the emitter are ``play``'s.
-The handler of the ``verify`` command is the last function here; it loads no ``runs``.
+The ``verify`` handler is last; it loads no ``runs`` and ends in ``play._verdict``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import sys
 from typing import Iterable, Iterator, NamedTuple
 
 from . import config
-from .errors import EXIT_OK, EXIT_UNSOLVABLE, ResourceLimitError, _check_int
+from .errors import ResourceLimitError, _check_int
 from .play import LINE_SQUARES, IntervalView, ReplayChecker, VerificationReport, _check_board
 from .play import _emit, _format_signed, _lines, _off_board, _play_splits, _replay_intervals
-from .play import _summary_line
+from .play import _verdict
 
 # A block of moves the parser may read by int() alone: each line a sign and a square of
 # ASCII digits with no leading zero, "\n" or "\r\n" ended.
@@ -215,9 +215,4 @@ def cmd_verify(args, limits) -> int:
     except OSError as exc:
         where = "from stdin" if on_stdin else f"file {args.file!r}"
         raise ValueError(f"cannot read moves {where}: {exc}") from exc
-    report = checker.finish(expected=frozenset({args.n}))
-    print(_summary_line(report))
-    if report.first_violation is not None:
-        step, rule = report.first_violation
-        print(f"first violation: step {step} ({rule})", file=sys.stderr)
-    return EXIT_OK if report.valid else EXIT_UNSOLVABLE
+    return _verdict(checker)

@@ -128,6 +128,18 @@ def test_strategy_intervals_with_verification(capsys):
     assert lines[-1] == "T=9 peak=3 valid=true"
 
 
+def test_strategy_verify_gives_the_verdict_of_verify(capsys, monkeypatch):
+    # The 4-square ladder overfills S = 3 at step 4: each replay reports it as verify does.
+    ladder = [1, 2, 3, 4, -3, -2, -1]
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{v:+d}\n" for v in ladder)))
+    expected = (2, "T=7 peak=4 valid=false\n", "first violation: step 4 (budget)\n")
+    assert run(capsys, "verify", "4", "3") == expected
+    monkeypatch.setattr(play_engine, "_emit", lambda n, s, split: iter([ladder]))
+    for flags in ((), ("--emit", "intervals")):
+        code, out, err = run(capsys, "strategy", "4", "3", *flags, "--verify")
+        assert (code, out.splitlines()[-1] + "\n", err) == expected, flags
+
+
 def test_strategy_intervals_match_the_library_route(capsys):
     # The CLI replays the streamed play once, in chunks of signed squares; the
     # library materializes the moves and replays them for each view.
