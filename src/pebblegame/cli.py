@@ -2,9 +2,9 @@
 
 A process reads its command line by the COMMANDS table, not argparse.  Each command's
 handler, ``cmd_<command>``, lives in the module whose engine it drives (``runs``, ``dp``,
-``play``, ``strategy``, ``oracle`` or ``analysis``), and ``main`` imports that one module
-after the parse and the limits load, so that a process compiles only the code its
-command runs.  Exit codes are the contract of ``errors``.  Data goes to stdout, all of
+``play``, ``oracle`` or ``analysis``; ``strategy`` is the library API alone), and ``main``
+imports that one module after the parse and the limits load, so that a process compiles
+only the code its command runs.  Exit codes are the contract of ``errors``.  Data goes to stdout, all of
 it through ``print``, so a closed stdout is treated as /dev/null, as a cut pipe is;
 diagnostics go to stderr, and identical invocations produce byte-identical output.  A
 handler that cannot answer raises, and ``main`` alone turns the error into its stderr
@@ -40,7 +40,7 @@ COMMANDS = {
         "--emit": (("moves", "intervals"), "moves", "what to print (default moves)"),
         "--verify": (bool, False, "append a replay summary line"),
     }),
-    "verify": ("strategy", "replay a move list (default stdin)", ("n", "S", "[file]"), {}),
+    "verify": ("play", "replay a move list (default stdin)", ("n", "S", "[file]"), {}),
     "oracle": ("oracle", "exhaustive-search cross-check", ("n", "S"), {
         "--path": (bool, False, "also print a witness play"),
     }),

@@ -1,22 +1,24 @@
-"""The play engine: emission and replay, all that a ``strategy`` process runs.
+"""The play engine: emission, move text and replay, all that ``strategy`` and ``verify`` run.
 
 A play travels as lists of signed squares (``+i`` as ``i``, ``-i`` as ``-i``), emitted ``CHUNK``
 at a time by one loop over a stack of subgames; a leaf is a ladder (S >= n) or a small subgame
 copied from a memo, and a subgame played backwards is its parts in reverse order, each
-backwards.  One replay core, ``ReplayChecker.feed_signed``, applies moves under the rule that
-square i may change only when i == 1 or square i-1 is occupied, and one verdict, ``_verdict``,
-ends a command's replay.  ``strategy``'s handler is last; only a play's splits load ``runs``.
+backwards.  The text wire format is one move per line, newline terminated; at the library
+boundary a move is ``Move(True, i)`` or ``Move(False, i)``.  One replay core,
+``ReplayChecker.feed_signed``, applies moves under the rule that square i may change only when
+i == 1 or square i-1 is occupied, one reader, ``_replay_text``, feeds it the text of a play,
+and one verdict, ``_verdict``, ends a command's replay.  The handlers of ``strategy`` and
+``verify`` are last; only a play's splits load ``runs``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import re
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EXIT_OK, EXIT_UNSOLVABLE, ResourceLimitError, UnsolvableError, _check_int
-
-if TYPE_CHECKING:
-    from .strategy import Move
 
 # Rule identifiers used in verification reports.
 RULE_FINAL = "final"
@@ -32,6 +34,29 @@ CHUNK = 8192
 # written and read through a table of lines.
 MEMO_SQUARES, MEMO_CAP = 128, 1 << 18
 LINE_SQUARES = 1 << 16
+# A block of moves the reader may read by int() alone: each line a sign and a square of
+# ASCII digits with no leading zero, "\n" or "\r\n" ended.  Compiled (and cached by re)
+# on the reader's first use, so a process that only writes plays does not compile it.
+_PLAIN = r"(?:[+-][1-9][0-9]*\r?\n)*"
+
+
+class Move(NamedTuple):
+    place: bool
+    square: int
+
+    def __str__(self) -> str:
+        return f"{'+' if self.place else '-'}{self.square}"
+
+
+def parse_move(text: str) -> Move:
+    text = text.strip()
+    if len(text) < 2 or text[0] not in "+-" or not text[1:].isdecimal():
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+        raise ValueError(f"malformed move {shown}; expected +<i> or -<i>")
+    try:
+        return Move(text[0] == "+", int(text[1:]))
+    except ValueError:  # more digits than int() reads, so past any board size read as text
+        raise ValueError(f"move {text[:40]!r}... references a square outside the board") from None
 
 
 def _format_signed(values: list, lines: list | None = None) -> str:
@@ -57,6 +82,13 @@ def _off_board(place: bool, square: int, n: int) -> ValueError:
     text = f"{sign}{abs(square) // 10**hidden}"
     shown = text if len(text) <= 40 else f"{text[:40]}..."
     return ValueError(f"move {shown} references a square outside the {n}-square board")
+
+
+def _check_move(move: Move, n: int) -> None:
+    """ValueError unless the move's square is an int (not a bool) on the n-square board."""
+    _check_int("square", move.square)
+    if not 1 <= move.square <= n:
+        raise _off_board(*move, n)
 
 
 def _check_board(n) -> None:
@@ -117,9 +149,7 @@ class ReplayChecker:
 
         A square outside the board raises ValueError, even after a halt.
         """
-        _check_int("square", move.square)
-        if not 1 <= move.square <= self.n:
-            raise _off_board(*move, self.n)
+        _check_move(move, self.n)
         closed: list = []
         self.feed_signed((move.square if move.place else -move.square,), closed)
         return closed[0][1] if closed else None
@@ -207,6 +237,52 @@ class ReplayChecker:
             peak_pebbles=self.peak,
             first_violation=self.first_violation,
         )
+
+
+def _replay_text(checker: ReplayChecker, stream, size: int = 1 << 16) -> None:
+    """Replay the move text of ``stream`` into ``checker``, calling only ``read(size)``, in
+    memory O(size + the longest line): a line is held whole until its end is read.
+
+    Lines are those of ``str.splitlines``, each read as ``parse_move`` reads it, blank ones
+    skipped.  When the text up to the last ``\\n`` read is plain (``_PLAIN``), it goes to
+    ``feed_signed`` as one list of signed squares, read by int() or, once more lines than
+    n <= LINE_SQUARES are read, looked up in the table of ``_lines(n)``.  Other text, and a
+    plain block with a square of more digits than int() reads, goes through ``parse_move``
+    to ``feed`` line by line, so errors come in input order.  What follows the cut is held
+    for the next read, to join a line or ``\\r\\n`` cut in two; a read with no line break is
+    only held, so a long line is scanned and joined once.
+    """
+    n = checker.n
+    held: list = []
+    table: dict = {}
+    seen = 0  # lines
+    while chunk := stream.read(size):
+        held.append(chunk)
+        if "\n" not in chunk and chunk.splitlines() == [chunk]:
+            continue
+        text = "".join(held)
+        cut = text.rfind("\n") + 1
+        values = None
+        if cut and n <= LINE_SQUARES:
+            lines = text[:cut].splitlines(keepends=True)
+            seen += len(lines)
+            if not table and n < seen:
+                table = dict(zip(_lines(n)[1:], [*range(1, n + 1), *range(-n, 0)]))
+            with contextlib.suppress(KeyError):
+                values = list(map(table.__getitem__, lines))
+        if values is None and cut and re.compile(_PLAIN).fullmatch(text, 0, cut):
+            with contextlib.suppress(ValueError):  # a square past int()'s digit limit
+                values = list(map(int, text[:cut].split()))
+        if values is not None:
+            checker.feed_signed(values)
+            held = [text[cut:]]
+            continue
+        *lines, carry = text.splitlines(keepends=True)
+        held = [carry]
+        for line in filter(str.strip, lines):
+            checker.feed(parse_move(line))
+    for line in filter(str.strip, "".join(held).splitlines()):
+        checker.feed(parse_move(line))
 
 
 def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
@@ -318,17 +394,13 @@ class IntervalView(NamedTuple):
 
 
 def _replay_intervals(checker: ReplayChecker, chunks: Iterable[list]) -> IntervalView:
-    """``to_intervals`` of the signed-square lists ``chunks`` by ``checker``, whose
-    ``finish`` then gives the report."""
+    """The interval view of the signed-square lists ``chunks`` replayed by ``checker``, whose
+    ``finish`` then gives the report: on a play that halts, the view of the moves before
+    the halt."""
     rows: list = [[] for _ in range(checker.n)]
     closed: list = []
     for chunk in chunks:
-        before = checker.steps
         checker.feed_signed(chunk, closed)
-        if checker.halt is not None:
-            step, rule = checker.halt
-            move = chunk[step - before - 1]
-            raise ValueError(f"step {step}: move {move:+d} breaks the {rule} rule")
         for i, interval in closed:
             rows[i - 1].append(interval)
         closed.clear()
@@ -366,3 +438,18 @@ def cmd_strategy(args, limits) -> int:
             if args.verify:
                 checker.feed_signed(chunk)
     return _verdict(checker) if args.verify else EXIT_OK
+
+
+def cmd_verify(args, limits) -> int:
+    on_stdin = args.file in (None, "-")
+    try:
+        if on_stdin and sys.stdin is None:  # the process started with stdin closed
+            raise OSError("it is closed")
+        source = contextlib.nullcontext(sys.stdin) if on_stdin else open(args.file, encoding="utf-8")
+        with source as stream:
+            checker = ReplayChecker(args.n, budget=args.s)
+            _replay_text(checker, stream)
+    except OSError as exc:
+        where = "from stdin" if on_stdin else f"file {args.file!r}"
+        raise ValueError(f"cannot read moves {where}: {exc}") from exc
+    return _verdict(checker)

@@ -128,16 +128,26 @@ def test_strategy_intervals_with_verification(capsys):
     assert lines[-1] == "T=9 peak=3 valid=true"
 
 
-def test_strategy_verify_gives_the_verdict_of_verify(capsys, monkeypatch):
-    # The 4-square ladder overfills S = 3 at step 4: each replay reports it as verify does.
-    ladder = [1, 2, 3, 4, -3, -2, -1]
-    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{v:+d}\n" for v in ladder)))
-    expected = (2, "T=7 peak=4 valid=false\n", "first violation: step 4 (budget)\n")
-    assert run(capsys, "verify", "4", "3") == expected
-    monkeypatch.setattr(play_engine, "_emit", lambda n, s, split: iter([ladder]))
+@pytest.mark.parametrize(
+    "moves, expected",
+    [
+        ([1, 2, 3, 4, -3, -2, -1], (2, "T=7 peak=4 valid=false", "first violation: step 4 (budget)\n")),
+        ([2], (2, "T=1 peak=0 valid=false", "first violation: step 1 (add)\n")),
+    ],
+    ids=["budget-overshoot", "halt"],
+)
+def test_strategy_verify_gives_the_verdict_of_verify(capsys, monkeypatch, moves, expected):
+    # The 4-square ladder overfills S = 3 at step 4, and +2 halts the replay at step 1:
+    # verify and strategy's replay, in both emit modes, give the one verdict.  Without
+    # --verify the interval view is printed (up to a halt) and strategy exits 0.
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{v:+d}\n" for v in moves)))
+    code, summary, err = expected
+    assert run(capsys, "verify", "4", "3") == (code, summary + "\n", err)
+    monkeypatch.setattr(play_engine, "_emit", lambda n, s, split: iter([moves]))
     for flags in ((), ("--emit", "intervals")):
         code, out, err = run(capsys, "strategy", "4", "3", *flags, "--verify")
-        assert (code, out.splitlines()[-1] + "\n", err) == expected, flags
+        assert (code, out.splitlines()[-1], err) == expected, flags
+    assert run(capsys, "strategy", "4", "3", "--emit", "intervals")[::2] == (0, "")
 
 
 def test_strategy_intervals_match_the_library_route(capsys):

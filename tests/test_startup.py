@@ -23,8 +23,9 @@ BARE = "import sys; print('modules:', *sorted(sys.modules), file=sys.stderr)"
 PLAY = "+1\n+2\n-1\n"
 
 # Every name dir(pebblegame) listed when the package imported all its
-# submodules up front, by the submodule that defines it, less the names
-# since removed (min_ts, parse_cost, f_gamma, place, remove, format_moves,
+# submodules up front, by the submodule the package exports it from (which
+# need not define it: the runs names under dp and Move under strategy are
+# imported there from runs and play), less the names since removed (min_ts, parse_cost, f_gamma, place, remove, format_moves,
 # parse_moves, threshold_record, ThresholdRecord, format_cost).
 PUBLIC_NAMES = {
     "analysis": """BEYOND_TABLE FGammaRow TsRecord entropy f_bound_lower_sum
@@ -55,10 +56,11 @@ def loaded_modules(code: str, *argv):
 
 # The command line is read without argparse, which would bring gettext and locale.
 PARSER = {"argparse", "gettext", "locale"}
-# The modules behind the commands: those that hold the handlers, and the layer engine
+# The modules behind the commands: those that hold the handlers, the layer engine
 # (runs), which holds cost's handler and runs under dp, analysis, the oracle and the
-# play engine (play).  main imports one handler's module, or none for help; each
-# command is pinned to the engines it runs.
+# play engine (play), and the library API (strategy), which no command runs.  main
+# imports one handler's module, or none for help; each command is pinned to the
+# engines it runs.
 ENGINES = {
     f"pebblegame.{name}" for name in ("dp", "runs", "play", "strategy", "oracle", "analysis")
 }
@@ -80,7 +82,7 @@ def loads_only(*names):
         ),
         (("tsmin", "9"), "S=5 F=25 TS=125 ratio=1.0660", loads_only("analysis", "runs")),
         (("table", "10", "4", "--format", "csv"), "10,inf,inf,inf,inf", loads_only("dp", "runs")),
-        (("verify", "2", "2"), "T=3 peak=2 valid=true", loads_only("strategy", "play")),
+        (("verify", "2", "2"), "T=3 peak=2 valid=true", loads_only("play")),
         (("oracle", "8", "4"), "bfs=25 dp=25 agree", loads_only("oracle", "runs")),
         (
             ("bounds", "5"),

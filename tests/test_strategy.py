@@ -1,5 +1,6 @@
 """Synthesis, replay verification, reversal, interval-view and parser tests."""
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -26,13 +27,14 @@ from pebblegame import (
     verify,
 )
 from pebblegame import play as play_engine, strategy
-from pebblegame.play import CHUNK, _emit, _lines, _play_splits, ReplayChecker
-from pebblegame.strategy import Move, _iter_chunks, _moves_of, Strategy, parse_move
+from pebblegame.play import CHUNK, LINE_SQUARES, _emit, _lines, _play_splits, _replay_text
+from pebblegame.play import ReplayChecker
+from pebblegame.strategy import Move, _moves_of, Strategy, parse_move
 
 
 def parse_moves(text: str) -> tuple:
     """The per-line reference reader: ``parse_move`` on each line of ``str.splitlines``
-    that is not blank.  ``_iter_chunks`` must give the same moves and the same error."""
+    that is not blank.  ``_replay_text`` must feed the same moves and raise the same error."""
     return tuple(parse_move(line) for line in text.splitlines() if line.strip())
 
 
@@ -765,7 +767,7 @@ def test_off_board_quote_of_a_square_past_the_int_digit_limit(sign):
     assert checker.steps == 0
 
 
-# -- the chunked parser against the per-line reference, parse_moves ------------
+# -- the chunked reader against the per-line reference, parse_moves ------------
 
 text_pieces = st.sampled_from(
     ["\n", "\r\n", "\r", "\x0c", " ", "   ", "\n\n", "+1", "-2", "+13", "+0", "-0",
@@ -773,13 +775,37 @@ text_pieces = st.sampled_from(
 )
 
 
+class _Recorder:
+    """A stand-in checker on an n-square board: it records each list of signed squares
+    ``_replay_text`` feeds to ``feed_signed`` and each ``Move`` it feeds to ``feed``.
+    With n None the board is one past LINE_SQUARES, which has no line table, so its
+    lists are read by int()."""
+
+    def __init__(self, n=None):
+        self.n = LINE_SQUARES + 1 if n is None else n
+        self.items = []
+
+    def feed_signed(self, values):
+        self.items.append(values)
+
+    def feed(self, move):
+        self.items.append(move)
+
+
+def _fed(stream, size: int = 1 << 16, n=None) -> list:
+    """Each list and ``Move`` that ``_replay_text`` feeds, in order."""
+    recorder = _Recorder(n)
+    _replay_text(recorder, stream, size)
+    return recorder.items
+
+
 def _iter_moves(stream, size: int = 1 << 16, n=None):
-    """The moves of ``_iter_chunks``, one at a time."""
-    for chunk in _iter_chunks(stream, size, n):
-        if isinstance(chunk, list):
-            yield from _moves_of(chunk)
+    """The moves ``_replay_text`` feeds, one at a time."""
+    for item in _fed(stream, size, n):
+        if isinstance(item, list):
+            yield from _moves_of(item)
         else:
-            yield chunk
+            yield item
 
 
 def _plain_block(count: int, seed: int) -> str:
@@ -825,18 +851,15 @@ def test_chunked_parser_with_a_line_table_matches_parse_moves(n, case):
 
 
 def _chunk_kinds(text: str, n=None) -> list:
-    """Per item the parser yields before any error: "list" (fast route) or "move"."""
-    kinds = []
-    try:
-        for item in _iter_chunks(io.StringIO(text), n=n):
-            kinds.append("list" if isinstance(item, list) else "move")
-    except ValueError:
-        pass
-    return kinds
+    """Per item the reader feeds before any error: "list" (fast route) or "move"."""
+    recorder = _Recorder(n)
+    with contextlib.suppress(ValueError):
+        _replay_text(recorder, io.StringIO(text))
+    return ["list" if isinstance(item, list) else "move" for item in recorder.items]
 
 
 def test_parser_fast_route_reads_plain_lines():
-    assert list(_iter_chunks(io.StringIO("+1\n-1\n+" + "9" * 40 + "\n"))) == [[1, -1, 10**40 - 1]]
+    assert _fed(io.StringIO("+1\n-1\n+" + "9" * 40 + "\n")) == [[1, -1, 10**40 - 1]]
     # Text past the last newline is carried, then parsed line by line.
     assert _chunk_kinds("+1\n+2\r-1") == ["list", "move", "move"]
     assert tuple(_iter_moves(io.StringIO("+1\n+2\r-1"))) == parse_moves("+1\n+2\r-1")
@@ -889,7 +912,7 @@ def test_parser_reads_a_long_unbroken_line_in_linear_time():
     # x86 VM, against 0.2 s.  The error quotes only the line's first 40 characters.
     start = time.process_time()
     with pytest.raises(ValueError, match=r"^malformed move 'xxx") as raised:
-        list(_iter_chunks(_Unbroken(32 << 20)))
+        _fed(_Unbroken(32 << 20))
     assert time.process_time() - start < 3.0
     assert len(str(raised.value)) < 200
 
@@ -940,5 +963,5 @@ def test_line_table_writes_and_reads_as_int_and_percent_do(past):
     half = text.index("\n", len(text) // 2) + 1
     for tail in ["", f"+{n + 1}\n", f"-{n + 1}\n+1\n", "+0\n", f"+{n:07d}\n", "+1 \n-1\n"]:
         for case in [text + tail, text[:half] + tail + text[half:]]:
-            by_int = list(_iter_chunks(io.StringIO(case)))
-            assert list(_iter_chunks(io.StringIO(case), n=n)) == by_int, tail
+            by_int = _fed(io.StringIO(case))
+            assert _fed(io.StringIO(case), n=n) == by_int, tail
