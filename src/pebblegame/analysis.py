@@ -7,8 +7,6 @@ All logarithms are base 2.  Binomial work uses exact integer arithmetic
 of the ``bounds``, ``tsmin`` and ``fgamma`` commands are the last functions here.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
@@ -54,7 +52,7 @@ class TsRecord(NamedTuple):
     ratio: float  # log2(product / n) / (2 * sqrt(log2 n)); nan for n = 1
 
 
-def x_threshold(k: int, s: int, tables: DpTables | runs.Layer):
+def x_threshold(k: int, s: int, tables: "DpTables | runs.Layer"):
     """Least n with delta(n, s) > 2**k: the start of the first slope run above
     2**k, else the end of the finite part, whose delta is infinite.
 
@@ -127,7 +125,7 @@ class FGammaRow(NamedTuple):
     gap: float | None  # f(H(gamma), s) - (gamma + H(gamma))
 
 
-def f_gamma_report(s: int, tables: DpTables | runs.Layer, gammas):
+def f_gamma_report(s: int, tables: "DpTables | runs.Layer", gammas):
     """Yield f at H(gamma) for each gamma of a grid, one row at a time; points past
     the layer's top carry None.  ``tables`` is a DpTables or the runs.Layer for s."""
     layer = tables.layer(s)

@@ -1,21 +1,21 @@
-"""Command-line interface: the COMMANDS table, its parser, usage and ``main``.
+"""Command-line interface: the COMMANDS table, its parser and ``main``.
 
 A process reads its command line by the COMMANDS table, not argparse.  Each command's
 handler, ``cmd_<command>``, lives in the module whose engine it drives (``runs``, ``dp``,
 ``play``, ``oracle`` or ``analysis``; ``strategy`` is the library API alone), and ``main``
 imports that one module after the parse and the limits load, so that a process compiles
-only the code its command runs.  Exit codes are the contract of ``errors``.  Data goes to stdout, all of
+only the code its command runs; the usage and help text (``usage``) load only for -h or a
+usage error.  Exit codes are the contract of ``errors``.  Data goes to stdout, all of
 it through ``print``, so a closed stdout is treated as /dev/null, as a cut pipe is;
 diagnostics go to stderr, and identical invocations produce byte-identical output.  A
 handler that cannot answer raises, and ``main`` alone turns the error into its stderr
 line and exit code.
 """
 
-from __future__ import annotations
-
 import gc
 import importlib
 import itertools
+import os
 import sys
 from types import SimpleNamespace
 
@@ -55,36 +55,7 @@ COMMANDS = {
 
 
 class _Stop(Exception):
-    """Ends a parse with (exit code, text): 0 and help, or 64 and a usage error."""
-
-
-def _label(name: str, kind) -> str:
-    """An option as usage and help show it: its name, then the values it takes."""
-    values = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "N"
-    return name if kind is bool else f"{name} {values}"
-
-
-def _usage(command: str | None, full: bool = False) -> str:
-    """The usage line of the program or of a command; ``full`` adds the help."""
-    if command is None:
-        title = "Exact pebble-game solver and analyzer."
-        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
-        words = ["[-h]", "{" + ",".join(COMMANDS) + "}", "..."]
-    else:
-        _, title, positionals, options = COMMANDS[command]
-        specs = {**_LIMITS, **options}.items()
-        rows = [(_label(name, kind), text) for name, (kind, _, text) in specs]
-        words = [command, "[-h]", *(f"[{label}]" for label, _ in rows), *positionals]
-    text = " ".join(["usage: pebblegame", *words]) + "\n"
-    if full:
-        width = max(len(label) for label, _ in rows) + 2
-        text += f"\n{title}\n\n" + "".join(f"  {label:<{width}}{line}\n" for label, line in rows)
-    return text
-
-
-def _error(command: str | None, message: str) -> _Stop:
-    prog = "pebblegame" if command is None else f"pebblegame {command}"
-    return _Stop(EXIT_USAGE, f"{_usage(command)}{prog}: error: {message}\n")
+    """Ends a parse with (command, message): None for help, else a usage error."""
 
 
 def _is_option(arg: str) -> bool:
@@ -97,9 +68,9 @@ def _convert(command: str, label: str, kind, text: str):
         try:
             return int(text)
         except ValueError:
-            raise _error(command, f"argument {label}: invalid int value: {text!r}") from None
+            raise _Stop(command, f"argument {label}: invalid int value: {text!r}") from None
     if isinstance(kind, tuple) and text not in kind:
-        raise _error(command, f"argument {label}: invalid choice: {text!r}")
+        raise _Stop(command, f"argument {label}: invalid choice: {text!r}")
     return text
 
 
@@ -121,7 +92,7 @@ def _parse(argv: list) -> tuple:
         elif ended or not _is_option(arg):
             if command is None:
                 if arg not in COMMANDS:
-                    raise _error(None, f"argument command: invalid choice: {arg!r}")
+                    raise _Stop(None, f"argument command: invalid choice: {arg!r}")
                 command, (_, _, positionals, own) = arg, COMMANDS[arg]
                 options = {**_LIMITS, **own}
                 values = {name[2:].replace("-", "_"): entry[1] for name, entry in options.items()}
@@ -138,39 +109,54 @@ def _parse(argv: list) -> tuple:
             if name is None:
                 unknown.append(arg)
             elif kind is bool and eq:
-                raise _error(command, f"argument {name}: ignored explicit argument {value!r}")
+                raise _Stop(command, f"argument {name}: ignored explicit argument {value!r}")
             elif name in ("-h", "--help"):
-                raise _Stop(EXIT_OK, _usage(command, full=True))
+                raise _Stop(command, None)
             else:
                 if kind is not bool and not eq:
                     value = next(rest, None)
                     if value is None or _is_option(value):
-                        raise _error(command, f"argument {name}: expected one argument")
+                        raise _Stop(command, f"argument {name}: expected one argument")
                 value = True if kind is bool else _convert(command, name, kind, value)
                 values[name[2:].replace("-", "_")] = value
     if command is None:
-        raise _error(None, "the following arguments are required: command")
+        raise _Stop(None, "the following arguments are required: command")
     if missing := [label for label in positionals[len(free):] if label[0] != "["]:
-        raise _error(command, f"the following arguments are required: {', '.join(missing)}")
+        raise _Stop(command, f"the following arguments are required: {', '.join(missing)}")
     if unknown:
-        raise _error(command, f"unrecognized arguments: {' '.join(unknown)}")
+        raise _Stop(command, f"unrecognized arguments: {' '.join(unknown)}")
     for label, value in itertools.zip_longest(positionals, free):
         values[label.strip("[]").lower()] = value
     return command, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    if argv is None:  # the program: no collection walks the start-up heap, nor the one at exit
-        gc.freeze()
+    """Run one command line and give its exit code.  The program (``argv`` None) reads
+    sys.argv, flushes stdout and stderr and ends the process by ``os._exit``, with no
+    interpreter teardown; called with a list, ``main`` returns the code."""
+    if argv is not None:
+        return _run(list(argv))
+    gc.freeze()  # no collection walks the start-up heap
+    code = _run(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None where the stream was closed
+                stream.flush()
+        except BrokenPipeError:  # a cut pipe is /dev/null, as in the handler
+            pass
+    os._exit(code)
+
+
+def _run(argv: list) -> int:
     try:
-        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        command, args = _parse(argv)
         limits = config.load_limits(args.cell_budget, args.max_moves)
         module = importlib.import_module(f"{__package__}.{COMMANDS[command][0]}")
         return getattr(module, f"cmd_{command}")(args, limits)
     except _Stop as stop:
-        code, text = stop.args
-        print(text, end="", file=sys.stdout if code == EXIT_OK else sys.stderr)
-        return code
+        from .usage import report
+
+        return report(*stop.args)
     except UnsolvableError as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE

@@ -4,8 +4,6 @@ The config file is located only through the ``PEBBLEGAME_CONFIG`` environment
 variable; command-line flags override values from the file.
 """
 
-from __future__ import annotations
-
 import os
 from typing import NamedTuple
 

@@ -7,8 +7,6 @@ value, not a saturated integer, so "unreachable" can never be confused with
 a sum or product that would pass the cap raises instead of wrapping or drifting.
 """
 
-from __future__ import annotations
-
 import functools
 from typing import Union
 

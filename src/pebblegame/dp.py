@@ -17,19 +17,47 @@ the (n-m)-square game above it with one pebble parked on m, then erase the
 first stage in reverse.
 
 The layer engine, ``runs``, fills the recursion a layer (a pebble budget) at a time and
-answers single cells (``f_cost``, ``split_point``, ``delta``, imported here from it).
-This module holds the tables: ``build_table`` pads each layer's finite part with
-INFINITE and 0 (no split), and the handler of ``table`` is the last function here.
+answers single cells by ``runs._cell``.  This module holds the cell API that asks it
+(``f_cost``, ``split_point``, ``delta``) and the tables: ``build_table`` pads each layer's
+finite part with INFINITE and 0 (no split), and the handler of ``table`` is the last
+function here.
 """
-
-from __future__ import annotations
 
 import itertools
 from typing import Iterator, NamedTuple
 
 from .cost import INFINITE, Cost
-from .errors import EXIT_OK, TableRangeError
-from .runs import Layer, _last_layer, _layers, _marginal, delta, f_cost, is_solvable, split_point
+from .errors import EXIT_OK, TableRangeError, _check_int
+from .runs import Layer, _cell, _last_layer, _layers, is_solvable
+
+
+def _marginal(cost, n: int) -> Cost:
+    """F(n+1) - F(n) by ``cost``: 0 for n <= 0, INFINITE where F(n+1) is infinite."""
+    if n <= 0:
+        return 0
+    after = cost(n + 1)
+    return INFINITE if after is INFINITE else after - cost(n)
+
+
+def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
+    """F(n, s): INFINITE past n = 2**(s-1), 2n - 1 where s >= n, else from one pass
+    over s run layers cut at n."""
+    return _cell(n, s, cell_budget)[0]
+
+
+def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None:
+    """Smallest split m attaining F(n, s); None when n <= 1 or F is infinite."""
+    return _cell(n, s, cell_budget)[1] or None
+
+
+def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
+    """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for n >= 2**(s-1)."""
+    _check_int("n", n)
+    _check_int("S", s, 1)
+    value, _, layers = _cell(max(n, 0) + 1, s, cell_budget)
+    if not layers:  # settled: the ladder's slope is 2
+        return INFINITE if value is INFINITE else 2 * (n > 0)
+    return _marginal(layers[-1].cost, n)
 
 
 class DpTables(NamedTuple):

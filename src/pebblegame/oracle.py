@@ -1,13 +1,13 @@
 """Ground truth by exhaustive search.
 
 Board states are n-bit masks (square i at bit i-1), and only boards with at
-most S pebbles are visited.  One breadth-first search, ``_meet``, runs from both
-ends, the empty board and {n}, keeping the boards it reaches in dicts.  It gives
-the least move count and a witness play apart from the layer engine, ``runs``.  The
-handler of the ``oracle`` command, the last function here, compares the two.
+most S pebbles are visited.  ``_movable`` holds the move rule: it gives the mask of
+the squares that may move on a board, whose bits the searches walk inline, with no
+generator per board.  One breadth-first search, ``_meet``, runs from both ends, the
+empty board and {n}, keeping the boards it reaches in dicts.  It gives the least move
+count and a witness play apart from the layer engine, ``runs``.  The handler of the
+``oracle`` command, the last function here, compares the two, reading F by ``runs._cell``.
 """
-
-from __future__ import annotations
 
 from . import runs
 from .cost import INFINITE, Cost
@@ -24,19 +24,15 @@ def _check_size(n: int, s: int) -> None:
         )
 
 
-def _neighbours(state: int, full: int, budget: int):
-    """The boards one move from ``state``, lowest square first.
+def _movable(state: int, full: int, budget: int) -> int:
+    """The mask of the squares that may move on ``state``.  Moving square i flips
+    bit i-1, and the searches try the squares lowest first.
 
     Square 1 is always enabled, and square i+1 when square i holds a pebble.
     With ``budget`` pebbles down, only the enabled squares that hold one can move.
     """
     enabled = ((state << 1) | 1) & full
-    if state.bit_count() >= budget:
-        enabled &= state
-    while enabled:
-        low = enabled & -enabled
-        yield state ^ low
-        enabled ^= low
+    return enabled & state if state.bit_count() >= budget else enabled
 
 
 def _meet(n: int, s: int):
@@ -44,7 +40,7 @@ def _meet(n: int, s: int):
     depths (f, b) of their last whole levels, once the two sides meet; or None.
 
     Each round expands one whole level of the smaller frontier; a move is its
-    own inverse, so both ends use ``_neighbours``.  Before a round that takes
+    own inverse, so both ends use ``_movable``.  Before a round that takes
     one end from depth d_a, with the other at d_b, no board is on both sides, so
     every play is longer than d_a + d_b moves.  A meet in the round is a play of
     d_a + 1 + d_b' moves with d_b' <= d_b, so it has exactly d_a + 1 + d_b: the
@@ -62,7 +58,11 @@ def _meet(n: int, s: int):
         depth = depths[side] + 1
         grown = []
         for state in fronts[side]:
-            for nxt in _neighbours(state, full, budget):
+            movable = _movable(state, full, budget)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                nxt = state ^ low
                 if nxt in other:
                     return seen, depths
                 if nxt not in mine:
@@ -96,14 +96,19 @@ def bfs_path(n: int, s: int):
         return None
     (up, down), (f, b) = met
     length, full, budget = f + 1 + b, (1 << n) - 1, min(s, n)
-    boards, untried = [0], [_neighbours(0, full, budget)]
+    boards, untried = [0], [_movable(0, full, budget)]  # untried: squares not yet tried
     while len(boards) <= length:
         k = len(boards)  # moves made once the next board is on
         level, depth = (up, k) if k <= f else (down, length - k)
-        for nxt in untried[-1]:
+        state, movable = boards[-1], untried[-1]
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            nxt = state ^ low
             if level.get(nxt) == depth:
+                untried[-1] = movable
                 boards.append(nxt)
-                untried.append(_neighbours(nxt, full, budget))
+                untried.append(_movable(nxt, full, budget))
                 break
         else:  # a board that led nowhere leaves the forward dict, never to be tried again
             del up[boards.pop()]
@@ -116,7 +121,7 @@ def bfs_path(n: int, s: int):
 
 def cmd_oracle(args, limits) -> int:
     _check_size(args.n, args.s)  # the size cap first, then the cell budget, then search
-    dp_value = runs.f_cost(args.n, args.s, cell_budget=limits.cell_budget)
+    dp_value = runs._cell(args.n, args.s, limits.cell_budget)[0]
     if args.path:  # one search: the distance is the witness's length
         witness = bfs_path(args.n, args.s)
         bfs = INFINITE if witness is None else witness.step_count

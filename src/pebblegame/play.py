@@ -11,8 +11,6 @@ and one verdict, ``_verdict``, ends a command's replay.  The handlers of ``strat
 ``verify`` are last; only a play's splits load ``runs``.
 """
 
-from __future__ import annotations
-
 import contextlib
 import re
 import sys

@@ -9,11 +9,9 @@ few hundred where a board has tens of thousands of squares, so a layer is kept, 
 merged, as its (slope, count) runs.  Past n = 2**(S-1) the merge runs out of finite
 terms and F is INFINITE.  ``Layer`` reads F and the least split as prefix sums over
 the runs.  ``_budget`` resolves the cell budget and prices each pass ``_layers`` draws;
-``_cell`` is the one route to a single cell, behind ``f_cost``, ``split_point``,
-``delta``, a play's splits, the oracle and the ``cost`` handler, the last function here.
+``_cell`` is the one route to a single cell, behind ``dp``'s ``f_cost``, ``split_point``
+and ``delta``, a play's splits, the oracle and the ``cost`` handler, the last function here.
 """
-
-from __future__ import annotations
 
 import collections
 import itertools
@@ -53,7 +51,7 @@ class Layer(NamedTuple):
         self._check(n)
         return 1 + _prefix_sum(self.picks, n - 2) if 2 <= n <= self.top else 0
 
-    def layer(self, s: int) -> Layer:
+    def layer(self, s: int) -> "Layer":
         """This layer, as ``DpTables.layer`` gives one; TableRangeError for another S."""
         if s != self.s:
             raise TableRangeError(f"S={s} asked of the layer for S={self.s}")
@@ -206,35 +204,6 @@ def is_solvable(n: int, s: int) -> bool:
     """True iff n <= 2**(s-1), without evaluating F or building 2**(s-1)."""
     _validate(n, s)
     return (n - 1).bit_length() <= s - 1
-
-
-def _marginal(cost, n: int) -> Cost:
-    """F(n+1) - F(n) by ``cost``: 0 for n <= 0, INFINITE where F(n+1) is infinite."""
-    if n <= 0:
-        return 0
-    after = cost(n + 1)
-    return INFINITE if after is INFINITE else after - cost(n)
-
-
-def f_cost(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """F(n, s): INFINITE past n = 2**(s-1), 2n - 1 where s >= n, else from one pass
-    over s run layers cut at n."""
-    return _cell(n, s, cell_budget)[0]
-
-
-def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None:
-    """Smallest split m attaining F(n, s); None when n <= 1 or F is infinite."""
-    return _cell(n, s, cell_budget)[1] or None
-
-
-def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for n >= 2**(s-1)."""
-    _check_int("n", n)
-    _check_int("S", s, 1)
-    value, _, layers = _cell(max(n, 0) + 1, s, cell_budget)
-    if not layers:  # settled: the ladder's slope is 2
-        return INFINITE if value is INFINITE else 2 * (n > 0)
-    return _marginal(layers[-1].cost, n)
 
 
 def cmd_cost(args, limits) -> int:

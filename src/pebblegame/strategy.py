@@ -5,8 +5,6 @@ A move is ``Move(True, i)`` (place a pebble on square i) or ``Move(False, i)`` (
 handlers are ``play``'s, and this module imports ``Move`` and ``parse_move`` back.
 """
 
-from __future__ import annotations
-
 import itertools
 from typing import Iterable, Iterator, NamedTuple
 

@@ -1138,15 +1138,84 @@ def test_plays_at_the_line_table_bound(capsys, monkeypatch, past):
 
 def test_main_in_process_freezes_no_objects(capsys, monkeypatch):
     # Only the program (argv None) freezes its start-up heap out of the collector.
+    # The program ends the process by os._exit, which here raises SystemExit instead.
+    def exit_(code):
+        raise SystemExit(code)
+
     before = gc.get_freeze_count()
     assert run(capsys, "cost", "51", "7")[0] == 0
     assert gc.get_freeze_count() == before
     monkeypatch.setattr("sys.argv", ["pebblegame", "cost", "51", "7"])
+    monkeypatch.setattr("os._exit", exit_)
     try:
-        assert main() == 0
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == "F(51,7) = 321\nm(51,7) = 20\n"
         assert gc.get_freeze_count() > before
     finally:
         gc.unfreeze()
+
+
+# The program as the console script and the benchmark run it: main() reads
+# sys.argv and ends the process by os._exit, with no interpreter teardown.
+PROGRAM = "import sys; from pebblegame.cli import main; sys.exit(main())"
+COST_HELP = """\
+usage: pebblegame cost [-h] [--cell-budget N] [--max-moves N] n S
+
+minimum move count F(n,S)
+
+  --cell-budget N  max table cells (overrides config file)
+  --max-moves N    materialization cap (overrides config file)
+"""
+
+
+def run_program(argv, stdin="", shell=None, lines=None):
+    """(exit code, stdout, stderr) of the program in a fresh interpreter, its stdout
+    a pipe, block-buffered.  ``shell`` wraps the command (``$@``) in a sh line;
+    ``lines`` reads that many lines of stdout, then closes it, as ``| head`` does."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    command = [sys.executable, "-c", PROGRAM, *argv]
+    if shell is not None:
+        command = ["sh", "-c", shell, "sh", *command]
+    with subprocess.Popen(command, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        if lines is None:
+            out, err = child.communicate(stdin, timeout=60)
+        else:
+            child.stdin.close()
+            out = "".join(child.stdout.readline() for _ in range(lines))
+            child.stdout.close()
+            err = child.stderr.read()
+        return child.wait(timeout=60), out, err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, shell, lines, expected",
+    [
+        (("cost", "51", "7"), "", None, None, (0, "F(51,7) = 321\nm(51,7) = 20\n", "")),
+        # The 4-square ladder with 3 pebbles: its fourth move is over the budget.
+        (("verify", "4", "3"), "+1\n+2\n+3\n+4\n-3\n-2\n-1\n", None, None,
+         (2, "T=7 peak=4 valid=false\n", "first violation: step 4 (budget)\n")),
+        # Cut after one line, as `| head -n 1` cuts it: the rest goes to /dev/null.
+        (("strategy", "1048576", "21"), "", None, 1, (0, "+1\n", "")),
+        # Cut before the answer is flushed at exit: the handler's exit code, and no
+        # "Exception ignored ... BrokenPipeError" (exit 120) from interpreter teardown.
+        (("cost", "65", "7"), "", None, 0, (2, "", "")),
+        # Stdout closed: the answer goes nowhere, the exit code stays the handler's.
+        (("cost", "10", "3"), "", '"$@" >&-', None, (2, "", "")),
+        (("cost", "1"), "", None, None, (64, "", COST_HELP.partition("\n")[0] + "\n"
+         "pebblegame cost: error: the following arguments are required: S\n")),
+        (("cost", "-h"), "", None, None, (0, COST_HELP, "")),
+    ],
+    ids=["cost", "verify-invalid", "strategy-cut", "cost-cut", "cost-stdout-closed", "usage-error",
+         "help"],
+)
+def test_program_flushes_before_it_exits(argv, stdin, shell, lines, expected):
+    assert run_program(argv, stdin, shell, lines) == expected
 
 
 def readme_examples():

@@ -13,11 +13,17 @@ import pebblegame
 
 SRC = Path(pebblegame.__file__).resolve().parent.parent
 
-# Runs the CLI as the benchmark does, then lists the loaded modules on stderr.
-PROBE = (
-    "import sys; from pebblegame.cli import main; code = main(); "
-    "print('modules:', *sorted(sys.modules), file=sys.stderr); sys.exit(code)"
-)
+# Runs the CLI as the benchmark does.  The program ends the process by os._exit,
+# patched here to list the loaded modules on stderr first.
+PROBE = """\
+import os, sys
+from pebblegame.cli import main
+def exit_(code, exit=os._exit):
+    print('modules:', *sorted(sys.modules), file=sys.stderr, flush=True)
+    exit(code)
+os._exit = exit_
+sys.exit(main())
+"""
 BARE = "import sys; print('modules:', *sorted(sys.modules), file=sys.stderr)"
 # The stdin of every run: verify replays it, the other commands leave it unread.
 PLAY = "+1\n+2\n-1\n"
@@ -66,9 +72,13 @@ ENGINES = {
 }
 
 
+# No package module imports __future__, and only -h or a usage error loads the usage text.
+UNRUN = {"__future__", "pebblegame.usage"}
+
+
 def loads_only(*names):
     """The engines that a command leaves unloaded when it runs only ``names``."""
-    return ENGINES - {f"pebblegame.{name}" for name in names} | PARSER
+    return ENGINES - {f"pebblegame.{name}" for name in names} | PARSER | UNRUN
 
 
 @pytest.mark.parametrize(
@@ -90,15 +100,29 @@ def loads_only(*names):
             loads_only("analysis", "runs"),
         ),
         (("fgamma", "8"), "0.5000 1.000000 256 - -", loads_only("analysis", "runs")),
-        (("--help",), "  fgamma    normalized log-cost report on a gamma grid", loads_only()),
+        (
+            ("--help",),
+            "  fgamma    normalized log-cost report on a gamma grid",
+            loads_only() - {"pebblegame.usage"},
+        ),
     ],
 )
 def test_a_command_loads_only_what_it_runs(argv, last_line, absent):
     code, out, modules = loaded_modules(PROBE, *argv)
     assert (code, out.splitlines()[-1]) == (0, last_line)
     assert "pebblegame.cli" in modules
+    assert ("pebblegame.usage" in modules) == (argv == ("--help",))
     # Whatever the interpreter loads before any of our code is not ours.
     ours = modules - loaded_modules(BARE)[2]
+    assert ours.isdisjoint(absent), sorted(ours & absent)
+
+
+def test_a_usage_error_loads_the_usage_text_and_no_engine():
+    code, out, modules = loaded_modules(PROBE, "cost", "1")
+    assert (code, out) == (64, "")
+    assert "pebblegame.usage" in modules
+    ours = modules - loaded_modules(BARE)[2]
+    absent = loads_only() - {"pebblegame.usage"}
     assert ours.isdisjoint(absent), sorted(ours & absent)
 
 
