@@ -51,13 +51,14 @@ def split_point(n: int, s: int, *, cell_budget: int | None = None) -> int | None
 
 
 def delta(n: int, s: int, *, cell_budget: int | None = None) -> Cost:
-    """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for n >= 2**(s-1)."""
+    """Marginal cost F(n+1, s) - F(n, s): 0 for n <= 0, 2 for s > n, INFINITE for
+    n >= 2**(s-1), else read off the one layer ``runs._cell`` holds for F(n+1, s)."""
     _check_int("n", n)
     _check_int("S", s, 1)
-    value, _, layers = _cell(max(n, 0) + 1, s, cell_budget)
-    if not layers:  # settled: the ladder's slope is 2
+    value, _, layer = _cell(max(n, 0) + 1, s, cell_budget)
+    if layer is None:  # settled: the ladder's slope is 2
         return INFINITE if value is INFINITE else 2 * (n > 0)
-    return _marginal(layers[-1].cost, n)
+    return _marginal(layer.cost, n)
 
 
 class DpTables(NamedTuple):

@@ -284,16 +284,17 @@ def _replay_text(checker: ReplayChecker, stream, size: int = 1 << 16) -> None:
 
 
 def _play_splits(n: int, s: int, cell_budget: int | None) -> tuple:
-    """The least split at every subgame of the (n, s) play with S < n, as a function
-    of (n, S), and F(n, s), the play's length, from ``runs._cell``: ``Layer.split`` of
-    its layers, or None for a ladder, which asks no split; UnsolvableError if n > 2**(s-1)."""
-    from .cost import INFINITE
-    from .runs import _cell
+    """The least split at every subgame of the (n, s) play with S < n, as a function of (n, S),
+    and F(n, s), the play's length: for a ladder None and ``runs._cell``'s F, else ``Layer.split``
+    of the play's own pass of s layers cut at n, each read; UnsolvableError if n > 2**(s-1)."""
+    from .runs import _cell, _layers, is_solvable
 
-    value, _, layers = _cell(n, s, cell_budget)
-    if value is INFINITE:
+    if not is_solvable(n, s):
         raise UnsolvableError(f"n={n} needs more than S={s} pebbles (limit is n <= 2**(S-1))")
-    return (lambda n, s: layers[s - 1].split(n)) if layers else None, value
+    if s >= n:
+        return None, _cell(n, s, cell_budget)[0]
+    layers = tuple(_layers(n, s, cell_budget))
+    return (lambda n, s: layers[s - 1].split(n)), layers[-1].cost(n)
 
 
 def _emit(n: int, s: int, split: Callable[[int, int], int] | None) -> Iterator[list]:
@@ -304,7 +305,8 @@ def _emit(n: int, s: int, split: Callable[[int, int], int] | None) -> Iterator[l
     room for, is a ladder if S >= n, two ranges cut only where they overfill a chunk, or
     has its three parts pushed, reversed for a forward play (first part on top) as for a
     backwards one; the checked 1 <= m < n makes every part smaller, so the loop ends.
-    ``split(n, S)`` is asked once per (n, S) of the play with S < n."""
+    ``split(n, S)`` is asked once per (n, S) of the play with S < n.  A leaf is re-packed into
+    chunks, as yielding each one was measured slower on plays with many small leaves."""
     stack = [(n, s, 0, False)]
     chunk: list = []
     splits: dict = {}

@@ -9,8 +9,8 @@ few hundred where a board has tens of thousands of squares, so a layer is kept, 
 merged, as its (slope, count) runs.  Past n = 2**(S-1) the merge runs out of finite
 terms and F is INFINITE.  ``Layer`` reads F and the least split as prefix sums over
 the runs.  ``_budget`` resolves the cell budget and prices each pass ``_layers`` draws;
-``_cell`` is the one route to a single cell, behind ``dp``'s ``f_cost``, ``split_point``
-and ``delta``, a play's splits, the oracle and the ``cost`` handler, the last function here.
+``_cell``, the one route to a single cell, holds only the layer it reads; ``dp``'s cell API,
+a ladder play, the oracle and ``cost``'s handler (last here) ask it, other plays draw a pass.
 """
 
 import collections
@@ -185,19 +185,19 @@ def _ladder(n: int) -> int:
 
 
 def _cell(n: int, s: int, cell_budget: int | None) -> tuple:
-    """F(n, s), its least split (0 where undefined) and the layers that answered it, once
-    n, S and the budget's type are checked.  The closed forms settle a cell with no layer:
-    INFINITE past n = 2**(s-1), S = 0 included, and where s >= n the ladder with split 1
-    (0 at n = 1), as a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1).
-    Any other cell is read off one pass of s layers cut at n."""
+    """F(n, s), its least split (0 where undefined) and the layer that answered it, once
+    n, S and the budget's type are checked.  The closed forms settle a cell with no layer
+    (None): INFINITE past n = 2**(s-1), S = 0 included, and where s >= n the ladder with
+    split 1 (0 at n = 1), as a split m costs at least 2(2m - 1) + 2(n - m) - 1 = 2n - 1 + 2(m - 1).
+    Any other cell is read off layer s cut at n, the last of one pass, the one layer held."""
     _validate(n, s)
     _budget(cell_budget)
     if not is_solvable(n, s):
-        return INFINITE, 0, ()
+        return INFINITE, 0, None
     if s >= n:
-        return _ladder(n), 1 if n > 1 else 0, ()
-    layers = tuple(_layers(n, s, cell_budget))
-    return layers[-1].cost(n), layers[-1].split(n), layers
+        return _ladder(n), 1 if n > 1 else 0, None
+    layer = _last_layer(n, s, cell_budget)
+    return layer.cost(n), layer.split(n), layer
 
 
 def is_solvable(n: int, s: int) -> bool:

@@ -1079,6 +1079,8 @@ os._exit(0)
         (("strategy", "1048576", "21", "--verify"), 1_000_000, True, 40),
         # One list slot, and one step number, per square of the ladder's board.
         (("strategy", "2000000", "2000000", "--verify"), 4_000_000, False, 128),
+        # A point query holds one layer, the last of its pass (46 MB with all 200).
+        (("cost", "10000000000", "200", "--cell-budget", "10000000000000"), 2, False, 35),
     ],
     ids=[
         "table 100000 24 --format csv",
@@ -1087,6 +1089,7 @@ os._exit(0)
         "strategy 16384 15 --verify",
         "strategy 1048576 21 --verify | head -1000000",
         "strategy 2000000 2000000 --verify",
+        "cost 10000000000 200 --cell-budget 10000000000000",
     ],
 )
 def test_peak_memory_of_large_runs(argv, lines, cut, bound_mb):

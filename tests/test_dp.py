@@ -508,6 +508,49 @@ def test_layers_match_the_slope_counting_reference(slope_counts):
             assert f_cost(n, s) == rebuilt[n - 1], (n, s)
 
 
+def test_paper_scale_cell_against_the_slope_counting_reference(slope_counts):
+    """F(10**10, 200) is 1 plus the first n - 1 slopes, slope d taken N_S(d) - N_S(d-2)
+    times, all of them at even d <= 64: the reference merges no layer and sums no F."""
+    n, s, budget = 10**10, 200, 10**13
+    counts = slope_counts(s, 64)[-1]
+    cost, left = 1, n - 1
+    for d in range(2, 65, 2):
+        taken = min(left, counts[d] - counts[d - 2])
+        cost, left = cost + d * taken, left - taken
+    assert left == 0, f"the counts of d <= 64 stop {left} slopes short of n - 1"
+    assert cost == 553_602_717_241
+    assert f_cost(n, s, cell_budget=budget) == cost
+    assert split_point(n, s, cell_budget=budget) == 68_642_367
+
+
+def test_a_cell_holds_the_one_layer_it_reads():
+    """A cell that needs a pass returns the Layer for S cut at n, the last of the pass;
+    a cell the closed forms settle returns None."""
+    for n, s in [(4, 3), (5, 4), (100, 8), (128, 8), (4096, 13)]:
+        value, split, layer = runs._cell(n, s, None)
+        assert layer == runs._last_layer(n, s, None)
+        assert (layer.s, layer.nmax) == (s, n)
+        assert (value, split) == (layer.cost(n), layer.split(n)) == (f_cost(n, s), split_point(n, s))
+    for n, s in [(3, 0), (5, 2), (10**7, 19), (1, 1), (7, 7), (7, 9)]:
+        assert runs._cell(n, s, None)[2] is None, (n, s)
+
+
+def test_a_play_merges_each_layer_once(monkeypatch):
+    """A play with S < n draws one pass of its own, which merges layers 2..S once each;
+    no cell pass runs beside it."""
+    merged = []
+    real = runs._next_layer
+
+    def counting(below, nmax):
+        merged.append(below.s + 1)
+        return real(below, nmax)
+
+    monkeypatch.setattr(runs, "_next_layer", counting)
+    play = synthesize(64, 8)
+    assert merged == [2, 3, 4, 5, 6, 7, 8]
+    assert len(play.moves) == f_cost(64, 8)
+
+
 def test_merge_rejects_a_slope_that_falls():
     # F(1..4, 2) would be 1, 3, 9, 13: slopes 2, 6, 4, not convex.
     below = runs.Layer(2, 10, 4, ((2, 1), (6, 1), (4, 1)), ((0, 1), (1, 1)))
